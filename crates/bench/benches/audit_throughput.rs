@@ -32,7 +32,7 @@
 //!   commit-order solver takes to *decide* the same window outright — the
 //!   number that justifies the `--sat` escalation lane.
 //!
-//! Experiment ids (see DESIGN.md / EXPERIMENTS.md): AUDIT1, AUDIT2, AUDIT3,
+//! Experiment ids (see README.md / BENCH_tradeoffs.json): AUDIT1, AUDIT2, AUDIT3,
 //! AUDIT4, AUDIT5, AUDIT6.
 
 use bench::harness::{bench, bench_throughput, black_box};
@@ -43,9 +43,9 @@ use tm_audit::po::TxnPartialOrder;
 use tm_audit::saturation::{check_causal, check_read_atomic, check_read_committed};
 use tm_audit::{
     audit_sharded, audit_with_budget, audit_with_options, record_run, run_unrecorded, AuditOptions,
-    AuditRunConfig, Level, SatConfig, ShardConfig, WindowConfig,
+    AuditRunConfig, Level, SatConfig, ShardConfig, WindowConfig, WindowedAuditor,
 };
-use workloads::run_audited_streaming;
+use workloads::{run_scenario_streamed, RegistersScenario, ScenarioConfig};
 
 const SAMPLES: usize = 5;
 
@@ -128,33 +128,43 @@ fn batch_vs_streaming() {
         // Streaming: audited concurrently with the workload in rolling
         // windows; closure memory is bounded by the window.
         let window = WindowConfig::sized(2_048);
-        let report = run_audited_streaming(config, window);
-        assert!(report.stream.passes(Level::Serializable), "{}", report.stream.merged);
+        let scenario_config = ScenarioConfig {
+            threads: config.sessions,
+            txns_per_thread: config.txns_per_session,
+            vars: config.vars,
+            seed: config.seed,
+            ..ScenarioConfig::new(config.backend)
+        };
+        let report = run_scenario_streamed(&RegistersScenario, &scenario_config, false, |vars| {
+            Ok(WindowedAuditor::new(vars, 0, window))
+        })
+        .expect("registers is recordable");
+        assert!(report.audit.passes(Level::Serializable), "{}", report.audit.merged);
         // The acceptance bound: closure memory is a function of the window
         // (≤ the dense closure of a 2×window graph — windows carry frontier
         // stand-ins), independent of how long the run is.
         let window_bound = Reach::dense_equivalent_bytes(2 * window.size);
         assert!(
-            report.stream.peak_closure_bytes <= window_bound,
+            report.audit.peak_closure_bytes <= window_bound,
             "peak closure {} must be bounded by the window ({window_bound}), not the run ({dense})",
-            report.stream.peak_closure_bytes
+            report.audit.peak_closure_bytes
         );
         println!(
             "audit3-streaming/{txns}-txns: run {:.3?} ({:.0} commits/s), verdict {:.3?} \
              after run end; {} windows of ≤{}, verdict latency mean {:.3?} / max {:.3?}",
-            report.run_elapsed,
-            report.throughput,
+            report.run.elapsed,
+            report.run.throughput,
             report.drain_elapsed,
-            report.stream.windows.len(),
+            report.audit.windows.len(),
             window.size,
-            report.stream.verdict_latency_mean(),
-            report.stream.verdict_latency_max(),
+            report.audit.verdict_latency_mean(),
+            report.audit.verdict_latency_max(),
         );
         println!(
             "audit3-streaming/{txns}-txns: peak closure memory {} KiB — bounded by the \
              window ({} txns), vs {} MiB dense whole-run",
-            report.stream.peak_closure_bytes / 1024,
-            report.stream.peak_window_txns,
+            report.audit.peak_closure_bytes / 1024,
+            report.audit.peak_window_txns,
             dense / (1 << 20)
         );
     }

@@ -8,7 +8,7 @@
 //! `cargo bench --bench paper_figures` reproduces the paper's tables/figures and
 //! reports how long the mechanized construction takes.
 //!
-//! Experiment ids (see DESIGN.md / EXPERIMENTS.md): FIG1–FIG6, THM.
+//! Experiment ids (see README.md / BENCH_tradeoffs.json): FIG1–FIG6, THM.
 
 use bench::harness::{bench, black_box};
 use pcl_theorem::figures;

@@ -53,7 +53,7 @@
 //! * `PCL_BENCH_ONLY=substring` — run only the families whose name contains
 //!   the substring (e.g. `trade1-disjoint-scaling`).
 //!
-//! Experiment ids (see DESIGN.md / EXPERIMENTS.md): TRADE1, TRADE2, TRADE3,
+//! Experiment ids (see README.md / BENCH_tradeoffs.json): TRADE1, TRADE2, TRADE3,
 //! DAPCOST, POLICY, SEP, AUDIT4.
 
 use bench::harness::{bench, bench_interleaved, black_box, samples_to_json_annotated, Samples};
@@ -62,8 +62,8 @@ use std::time::Duration;
 use stm_runtime::{policy, registry, BackendId, Stm};
 use tm_audit::{audit_sharded, record_run, AuditRunConfig, Level, ShardConfig, WindowConfig};
 use workloads::{
-    run_scenario, run_threads, stalled_writer_experiment, BankConfig, KvZipfScenario, RunConfig,
-    ScenarioConfig, WriteSkewScenario,
+    run_scenario, stalled_writer_experiment, BankConfig, BankScenario, KvZipfScenario,
+    ScenarioConfig, ScenarioRunReport, WriteSkewScenario,
 };
 
 /// Sizing of one bench run (full by default, shrunk by `PCL_BENCH_TINY`).
@@ -134,12 +134,12 @@ fn bench_disjoint_scaling(
         for threads in [1usize, 2, 4] {
             let name = format!("trade1-disjoint-scaling/{backend}/{threads}");
             let samples = bench(&name, sizes.samples, || {
-                let report = run_threads(RunConfig {
+                let report = run_bank(
                     backend,
                     threads,
-                    tx_per_thread: total_txns / threads,
-                    bank: BankConfig { accounts: 64, cross_fraction: 0.0, ..Default::default() },
-                });
+                    total_txns / threads,
+                    BankConfig { accounts: 64, cross_fraction: 0.0, ..Default::default() },
+                );
                 black_box(report.throughput)
             });
             let min_ns = samples.min().as_nanos() as f64;
@@ -156,6 +156,23 @@ fn bench_disjoint_scaling(
     }
 }
 
+/// The bank workload on `backend`: `threads` workers × `txns` transfers over
+/// `bank.accounts` accounts.
+fn run_bank(
+    backend: BackendId,
+    threads: usize,
+    txns: usize,
+    bank: BankConfig,
+) -> ScenarioRunReport {
+    let config = ScenarioConfig {
+        threads,
+        txns_per_thread: txns,
+        vars: bank.accounts,
+        ..ScenarioConfig::new(backend)
+    };
+    run_scenario(&BankScenario { template: bank }, &config)
+}
+
 /// TRADE1-METRICS: the disjoint-scaling 4-thread point measured as an
 /// *interleaved* off/on pair per backend — the acceptance gauge for
 /// "metrics-on stays within a few percent of metrics-off".  The off baseline
@@ -170,12 +187,12 @@ fn bench_metrics_overhead(sizes: &Sizes, sink: &mut Vec<Samples>) {
     let samples = sizes.samples * 4;
     for backend in all_backends() {
         let run = || {
-            let report = run_threads(RunConfig {
+            let report = run_bank(
                 backend,
-                threads: 4,
-                tx_per_thread: sizes.tx_per_thread,
-                bank: BankConfig { accounts: 64, cross_fraction: 0.0, ..Default::default() },
-            });
+                4,
+                sizes.tx_per_thread,
+                BankConfig { accounts: 64, cross_fraction: 0.0, ..Default::default() },
+            );
             black_box(report.throughput)
         };
         let (off, on) = bench_interleaved(
@@ -205,17 +222,17 @@ fn bench_contention(sizes: &Sizes, sink: &mut Vec<Samples>) {
                 &format!("trade2-zipf-contention/{backend}/theta={theta}"),
                 sizes.samples,
                 || {
-                    let report = run_threads(RunConfig {
+                    let report = run_bank(
                         backend,
-                        threads: 4,
-                        tx_per_thread: sizes.tx_per_thread.min(200),
-                        bank: BankConfig {
+                        4,
+                        sizes.tx_per_thread.min(200),
+                        BankConfig {
                             accounts: 32,
                             cross_fraction: 1.0,
                             zipf_theta: Some(theta),
                             ..Default::default()
                         },
-                    });
+                    );
                     black_box((report.throughput, report.aborts))
                 },
             ));

@@ -103,7 +103,7 @@ pub use window::{
     audit_streamed, Conviction, HistoryCollector, StreamMerger, StreamReport, TeeSink, TxnSink,
     WindowConfig, WindowVerdict, WindowedAuditor,
 };
-pub use workload::{record_run, run_unrecorded, run_with_recorder, AuditRunConfig};
+pub use workload::{record_run, register_txn, run_unrecorded, AuditRunConfig};
 
 use linearization::{
     find_lost_update, find_same_source_skew, search_prefix, search_serializable,

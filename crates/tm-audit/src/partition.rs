@@ -82,7 +82,7 @@ use crate::window::{
 };
 use crate::AuditHistory;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -126,9 +126,10 @@ pub struct ShardConfig {
     /// thin relative to the partitions', so even a small lane window spans
     /// a long stretch of global history.
     pub escalation_window: Option<WindowConfig>,
-    /// Enable live re-banding: the runner's lag sampler periodically calls
-    /// [`BandRouter::rebalance`] so a partition drowning in routed-but-not-
-    /// audited transactions sheds its hottest band to the idlest partition.
+    /// Enable live re-banding: a [`ShardedAuditor::live`] pipeline's lag
+    /// sampler periodically calls [`BandRouter::rebalance`] so a partition
+    /// drowning in routed-but-not-audited transactions sheds its hottest
+    /// band to the idlest partition.
     /// Off by default — static banding keeps routing reproducible.
     pub adaptive: bool,
 }
@@ -445,7 +446,8 @@ pub enum ShardEvent {
         /// The violation, with the partition-local stream position.
         conviction: Conviction,
     },
-    /// A periodic lag snapshot (emitted by the runner's sampler).
+    /// A periodic lag snapshot (emitted by a [`ShardedAuditor::live`]
+    /// pipeline's sampler).
     Lag {
         /// Every partition's counters, escalation lane last.
         partitions: Vec<PartitionLag>,
@@ -492,6 +494,9 @@ pub struct ShardedStreamReport {
     pub escalated_txns: u64,
     /// The earliest definite violation across partitions, if any.
     pub first_conviction: Option<ShardConviction>,
+    /// Band moves the router applied during the run (0 unless something
+    /// called [`BandRouter::rebalance`] on it).
+    pub band_moves: u64,
 }
 
 impl ShardedStreamReport {
@@ -716,6 +721,62 @@ pub struct ShardedAuditor {
     queue_gauges: Option<Vec<tm_telemetry::Gauge>>,
     /// Straddler counter (`audit_escalated_total`), when metrics are on.
     escalated_counter: Option<tm_telemetry::Counter>,
+    /// The live lag sampler, for [`ShardedAuditor::live`] pipelines.
+    sampler: Option<LagSampler>,
+}
+
+/// How often a [`ShardedAuditor::live`] pipeline samples its lanes' lag.
+const LAG_SAMPLE_PERIOD: Duration = Duration::from_millis(200);
+
+/// The background thread of a live pipeline: every [`LAG_SAMPLE_PERIOD`] it
+/// snapshots the lag probe, hands the snapshot to the adaptive band router
+/// (when there is one) and streams it as a [`ShardEvent::Lag`] (when events
+/// flow).
+struct LagSampler {
+    /// Dropping this sender stops the thread at once.
+    stop: Sender<()>,
+    thread: JoinHandle<()>,
+    probe: ShardLagProbe,
+    events: Option<Sender<ShardEvent>>,
+}
+
+impl LagSampler {
+    fn spawn(
+        probe: ShardLagProbe,
+        router: Option<Arc<BandRouter>>,
+        events: Option<Sender<ShardEvent>>,
+    ) -> Self {
+        let (stop, stopped) = channel::<()>();
+        let (thread_probe, thread_events) = (probe.clone(), events.clone());
+        let thread = std::thread::Builder::new()
+            .name("audit-lag-sampler".to_string())
+            .spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(LAG_SAMPLE_PERIOD) {
+                    let lag = thread_probe.sample();
+                    if let Some(router) = &router {
+                        router.rebalance(&lag);
+                    }
+                    if let Some(tx) = &thread_events {
+                        if tx.send(ShardEvent::Lag { partitions: lag }).is_err() {
+                            break;
+                        }
+                    }
+                }
+            })
+            .expect("spawning the lag sampler thread");
+        LagSampler { stop, thread, probe, events }
+    }
+
+    /// Stop sampling, then close the event stream with one drained lag
+    /// sample, so short runs still get a lag record even when the periodic
+    /// sampler never fired.
+    fn stop(self) {
+        drop(self.stop);
+        self.thread.join().expect("lag sampler panicked");
+        if let Some(tx) = &self.events {
+            let _ = tx.send(ShardEvent::Lag { partitions: self.probe.sample() });
+        }
+    }
 }
 
 impl ShardedAuditor {
@@ -726,16 +787,31 @@ impl ShardedAuditor {
         Self::build(n_vars, initial, config, None)
     }
 
-    /// Like [`ShardedAuditor::new`], additionally streaming
-    /// [`ShardEvent`]s (window verdicts, convictions) into `events` as they
-    /// happen.
-    pub fn with_events(
+    /// A pipeline for a stream that is still being produced.  When
+    /// `events` is given, [`ShardEvent`]s stream into it as they happen:
+    /// every closed window's verdict, first convictions, and a lag sample
+    /// every ~200 ms — the feed the audit CLI's `--serve` endpoint tails as
+    /// JSON lines.
+    ///
+    /// When [`ShardConfig::adaptive`] is set, the same sampler feeds each lag
+    /// snapshot to the pipeline's [`BandRouter`], which may move the
+    /// most-backlogged partition's hottest band to the idlest partition —
+    /// the control plane that keeps one zipfian hot band from throttling the
+    /// whole pipeline through backpressure.  Clock-driven moves make routing
+    /// irreproducible; [`audit_sharded_adaptive`] is the push-counted
+    /// replay.
+    pub fn live(
         n_vars: usize,
         initial: i64,
         config: ShardConfig,
-        events: Sender<ShardEvent>,
+        events: Option<Sender<ShardEvent>>,
     ) -> Self {
-        Self::build(n_vars, initial, config, Some(events))
+        let mut auditor = Self::build(n_vars, initial, config, events.clone());
+        if events.is_some() || auditor.config.adaptive {
+            let router = auditor.config.adaptive.then(|| auditor.router());
+            auditor.sampler = Some(LagSampler::spawn(auditor.lag_probe(), router, events));
+        }
+        auditor
     }
 
     fn build(
@@ -815,6 +891,7 @@ impl ShardedAuditor {
             escalated_txns: 0,
             queue_gauges,
             escalated_counter,
+            sampler: None,
         }
     }
 
@@ -944,6 +1021,9 @@ impl ShardedAuditor {
                 stream,
             });
         }
+        if let Some(sampler) = self.sampler.take() {
+            sampler.stop();
+        }
         let first_conviction = partitions
             .iter()
             .filter_map(|p| {
@@ -963,6 +1043,7 @@ impl ShardedAuditor {
             total_txns: self.total_txns,
             escalated_txns: self.escalated_txns,
             first_conviction,
+            band_moves: self.router.moves(),
         }
     }
 }
@@ -1320,7 +1401,7 @@ mod tests {
             h.push_txn(0, [(0, 2 + i)], [(0, 3 + i)]);
         }
         let config = cfg(2, 8, 2);
-        let mut auditor = ShardedAuditor::with_events(1, 0, config, tx);
+        let mut auditor = ShardedAuditor::live(1, 0, config, Some(tx));
         let probe = auditor.lag_probe();
         let mut all: Vec<(u64, usize, &AuditTxn)> = h
             .sessions

@@ -59,63 +59,61 @@ fn unique_value(session: usize, counter: u64) -> i64 {
     ((session as i64 + 1) << 40) + counter as i64
 }
 
-/// The worker body shared by the recorded and unrecorded runs: the same
-/// transaction mix against the same variable pool, so the two modes differ
-/// only in whether a recorder is attached.
-fn run_session(stm: &Stm, vars: &[TVar<i64>], config: AuditRunConfig, session: usize) {
-    let mut rng = StdRng::seed_from_u64(config.seed ^ ((session as u64) << 32));
-    let mut counter = 0u64;
-    for _ in 0..config.txns_per_session {
-        let a = vars[rng.gen_range(0..vars.len())];
-        let b = vars[rng.gen_range(0..vars.len())];
-        let shape = rng.gen_range(0..10u32);
-        counter += 1;
-        let value = unique_value(session, counter);
-        counter += 1;
-        let second = unique_value(session, counter);
-        stm.run(|tx| match shape {
-            // Read-only observer.
-            0..=1 => {
-                let _ = tx.read(a)?;
-                let _ = tx.read(b)?;
-                Ok(())
-            }
-            // Atomic pair write (after reading one of the pair).
-            2..=3 => {
-                let _ = tx.read(a)?;
-                tx.write(a, value)?;
-                tx.write(b, second)?;
-                Ok(())
-            }
-            // Read-modify-write.
-            _ => {
-                let _ = tx.read(a)?;
-                tx.write(a, value)?;
-                Ok(())
-            }
-        });
-    }
+/// One transaction of the register mix: the `seq`-th (0-based) of worker
+/// `session`.  It draws two variables and a shape from `rng`, in that
+/// order, and writes the unique values `2·seq + 1` and `2·seq + 2` of its
+/// session.  Retries follow the [`Stm`]'s retry policy; a policy give-up
+/// drops the transaction.  Every recorded register run — [`record_run`] and
+/// the `registers` scenario in `workloads` — executes this body.
+pub fn register_txn(stm: &Stm, vars: &[TVar<i64>], session: usize, seq: u64, rng: &mut StdRng) {
+    let a = vars[rng.gen_range(0..vars.len())];
+    let b = vars[rng.gen_range(0..vars.len())];
+    let shape = rng.gen_range(0..10u32);
+    let value = unique_value(session, seq * 2 + 1);
+    let second = unique_value(session, seq * 2 + 2);
+    let _ = stm.run_policy(|tx| match shape {
+        // Read-only observer.
+        0..=1 => {
+            let _ = tx.read(a)?;
+            let _ = tx.read(b)?;
+            Ok(())
+        }
+        // Atomic pair write (after reading one of the pair).
+        2..=3 => {
+            let _ = tx.read(a)?;
+            tx.write(a, value)?;
+            tx.write(b, second)?;
+            Ok(())
+        }
+        // Read-modify-write.
+        _ => {
+            let _ = tx.read(a)?;
+            tx.write(a, value)?;
+            Ok(())
+        }
+    });
 }
 
-/// Run the register workload with an arbitrary recorder attached (every
-/// worker registers its session) and return the number of commits.  This is
-/// the entry point the streaming pipeline uses: hand it a
-/// [`stm_runtime::StreamingRecorder`] and drain batches from another thread
-/// while the workload runs.
-pub fn run_with_recorder(
-    config: AuditRunConfig,
-    recorder_arc: Arc<dyn stm_runtime::Recorder>,
-) -> u64 {
-    let stm = Stm::with_recorder(config.backend, recorder_arc);
+/// Run every session of the register workload on `stm` and return the
+/// number of commits.  The recorded and unrecorded runs share this body, so
+/// they differ only in whether a recorder is attached (`record` registers
+/// each worker as its session).
+fn run_sessions(stm: &Stm, config: AuditRunConfig, record: bool) -> u64 {
     let vars: Vec<TVar<i64>> = (0..config.vars).map(|_| stm.alloc(0i64)).collect();
     std::thread::scope(|scope| {
-        let stm = &stm;
         let vars = &vars;
         for session in 0..config.sessions {
             scope.spawn(move || {
-                recorder::set_session(session);
-                run_session(stm, vars, config, session);
-                recorder::clear_session();
+                if record {
+                    recorder::set_session(session);
+                }
+                let mut rng = StdRng::seed_from_u64(config.seed ^ ((session as u64) << 32));
+                for seq in 0..config.txns_per_session as u64 {
+                    register_txn(stm, vars, session, seq, &mut rng);
+                }
+                if record {
+                    recorder::clear_session();
+                }
             });
         }
     });
@@ -125,7 +123,7 @@ pub fn run_with_recorder(
 /// Run the register workload with recording on and return the history.
 pub fn record_run(config: AuditRunConfig) -> AuditHistory {
     let recorder_arc = Arc::new(HistoryRecorder::new(config.sessions, 0));
-    run_with_recorder(config, Arc::clone(&recorder_arc) as _);
+    run_sessions(&Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _), config, true);
     Arc::try_unwrap(recorder_arc)
         .unwrap_or_else(|_| panic!("recorder still shared after the run"))
         .into_history(config.vars)
@@ -134,16 +132,7 @@ pub fn record_run(config: AuditRunConfig) -> AuditHistory {
 /// Run the identical workload with no recorder attached and return the number
 /// of commits — the uninstrumented baseline for measuring recording overhead.
 pub fn run_unrecorded(config: AuditRunConfig) -> u64 {
-    let stm = Stm::new(config.backend);
-    let vars: Vec<TVar<i64>> = (0..config.vars).map(|_| stm.alloc(0i64)).collect();
-    std::thread::scope(|scope| {
-        let stm = &stm;
-        let vars = &vars;
-        for session in 0..config.sessions {
-            scope.spawn(move || run_session(stm, vars, config, session));
-        }
-    });
-    stm.stats().commits()
+    run_sessions(&Stm::new(config.backend), config, false)
 }
 
 #[cfg(test)]

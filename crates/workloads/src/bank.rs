@@ -94,18 +94,11 @@ impl Bank {
         (self.accounts[from], self.accounts[to % n])
     }
 
-    /// Perform one transfer of `amount` between the chosen accounts (retrying until it
-    /// commits).  Returns the amount actually moved (0 when `from == to`).
-    pub fn transfer(&self, stm: &Stm, from: TVar<i64>, to: TVar<i64>, amount: i64) -> i64 {
-        if from == to {
-            return 0;
-        }
-        stm.run(|tx| Self::transfer_body(tx, from, to, amount))
-    }
-
-    /// Like [`Bank::transfer`], but retries are paced by the instance's
-    /// [`stm_runtime::RetryPolicy`] and a policy give-up surfaces as `Err`
-    /// (the transfer simply does not happen, which preserves the total).
+    /// Perform one transfer of `amount` between the chosen accounts and return
+    /// the amount actually moved (0 when `from == to`).  Retries are paced by
+    /// the instance's [`stm_runtime::RetryPolicy`], and a policy give-up
+    /// surfaces as `Err` (the transfer simply does not happen, which preserves
+    /// the total).
     pub fn try_transfer(
         &self,
         stm: &Stm,
@@ -162,7 +155,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(1);
             for _ in 0..200 {
                 let (from, to) = bank.pick_accounts(0, 1, &mut rng);
-                bank.transfer(&stm, from, to, 17);
+                bank.try_transfer(&stm, from, to, 17).unwrap();
             }
             assert_eq!(bank.total(&stm), bank.expected_total(), "{kind:?}");
         }
@@ -176,7 +169,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
             let (from, to) = bank.pick_accounts(0, 1, &mut rng);
-            bank.transfer(&stm, from, to, 1_000);
+            bank.try_transfer(&stm, from, to, 1_000).unwrap();
         }
         let total = bank.total(&stm);
         assert_eq!(total, bank.expected_total());
@@ -209,6 +202,6 @@ mod tests {
     fn self_transfers_move_nothing() {
         let stm = Stm::new(BackendKind::Tl2Blocking);
         let bank = Bank::new(&stm, BankConfig { accounts: 2, ..Default::default() });
-        assert_eq!(bank.transfer(&stm, bank.accounts[0], bank.accounts[0], 5), 0);
+        assert_eq!(bank.try_transfer(&stm, bank.accounts[0], bank.accounts[0], 5), Ok(0));
     }
 }

@@ -118,23 +118,23 @@
 //! attempt percentiles and the scenario's own invariant are reported.
 
 use std::io::{BufRead, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use stm_runtime::{policy, BackendId, RetryPolicy};
 use tm_audit::linearization::DEFAULT_STATE_BUDGET;
 use tm_audit::report::json_escape;
 use tm_audit::{
-    audit_sharded, audit_streamed, audit_with_options, AuditHistory, AuditOptions, PartitionLag,
-    SatConfig, ShardConfig, ShardEvent, WindowConfig,
+    audit_sharded, audit_streamed, audit_with_options, AuditHistory, AuditOptions, AuditReport,
+    Level, PartitionLag, SatConfig, ShardConfig, ShardEvent, ShardedAuditor, ShardedStreamReport,
+    StreamReport, WindowConfig, WindowedAuditor,
 };
 use tm_history::{decode_all, encode, Decoder};
 use workloads::{
-    all_scenarios, run_scenario, run_scenario_audited_sharded,
-    run_scenario_audited_sharded_captured, run_scenario_audited_streaming,
-    run_scenario_audited_streaming_captured, run_scenario_audited_with,
-    run_scenario_audited_with_captured, run_scenario_captured, scenario_by_name, Scenario,
-    ScenarioConfig,
+    all_scenarios, run_scenario, run_scenario_captured, run_scenario_streamed, scenario_by_name,
+    Scenario, ScenarioConfig, ScenarioRunReport, StreamedRunReport, WalTee,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -498,7 +498,7 @@ fn print_registries() {
     }
 }
 
-fn json_run_fields(run: &workloads::ScenarioRunReport) -> String {
+fn json_run_fields(run: &ScenarioRunReport) -> String {
     let invariant = match run.check.invariant {
         Some(ok) => ok.to_string(),
         None => "null".to_string(),
@@ -526,7 +526,7 @@ fn json_run_fields(run: &workloads::ScenarioRunReport) -> String {
     )
 }
 
-fn print_run_line(run: &workloads::ScenarioRunReport) {
+fn print_run_line(run: &ScenarioRunReport) {
     println!(
         "  {} commits in {:.3?} ({:.0} commits/s); aborts {}; gave up {}; \
          attempts p50/p99 {}/{}",
@@ -564,10 +564,55 @@ fn window_config(window: usize, args: &Args) -> WindowConfig {
     wc
 }
 
+fn shard_config(window: usize, shards: usize, args: &Args) -> ShardConfig {
+    ShardConfig { adaptive: args.adaptive, ..ShardConfig::new(shards, window_config(window, args)) }
+}
+
 /// The batch-mode audit knobs: the DFS budget plus the optional `--sat`
 /// escalation stage.
 fn audit_options(args: &Args) -> AuditOptions {
     AuditOptions { budget: args.budget, sat: args.sat }
+}
+
+/// `true` if any level is definitely violated.
+fn convicted(report: &AuditReport) -> bool {
+    Level::ALL.iter().any(|&l| report.fails(l))
+}
+
+/// The exit status of a finished command: failure when `--fail-on-violation`
+/// meets a definite violation.
+fn exit_status(args: &Args, violated: bool) -> ExitCode {
+    if args.fail_on_violation && violated {
+        eprintln!("audit found definite violations (--fail-on-violation)");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// What the CLI reads off a streamed audit, whichever auditor produced it.
+trait StreamVerdict: std::fmt::Display {
+    /// The whole-run verdict.
+    fn merged(&self) -> &AuditReport;
+    /// The report's JSON form.
+    fn json(&self) -> String;
+}
+
+impl StreamVerdict for StreamReport {
+    fn merged(&self) -> &AuditReport {
+        &self.merged
+    }
+    fn json(&self) -> String {
+        self.to_json()
+    }
+}
+
+impl StreamVerdict for ShardedStreamReport {
+    fn merged(&self) -> &AuditReport {
+        &self.merged
+    }
+    fn json(&self) -> String {
+        self.to_json()
+    }
 }
 
 /// Set by the SIGTERM/SIGINT handler; the serve loop finishes its current
@@ -717,36 +762,69 @@ fn emit_event(emitter: &ServeEmitter, round: u64, event: &ShardEvent) {
     }
 }
 
-/// The `--serve` ops endpoint: audited rounds back to back, each round's
-/// window verdicts / convictions / partition lag streamed as JSON lines
-/// while the workload runs, until SIGTERM/SIGINT or `--serve-rounds`.
-fn serve(args: &Args) -> ExitCode {
-    let (window, shards) = match args.mode {
+fn metrics_record(round: u64) -> String {
+    format!(
+        "{{\"type\":\"metrics\",\"round\":{round},\"snapshot\":{}}}",
+        tm_telemetry::global().snapshot().to_json()
+    )
+}
+
+/// The window size and partition count of a `--serve` endpoint (the
+/// unsharded streaming topology counts as one partition).
+fn serve_shape(args: &Args) -> (usize, usize) {
+    match args.mode {
         AuditMode::Sharded { window, shards } => (window, shards),
         AuditMode::Streaming { window } => (window, 1),
         _ => unreachable!("parse_args forces a streaming mode under --serve"),
-    };
+    }
+}
+
+/// The `--serve` ops endpoint: audited rounds back to back, each round's
+/// window verdicts / convictions / partition lag streamed as JSON lines
+/// while the workload runs, until SIGTERM/SIGINT or `--serve-rounds`.
+///
+/// With `--wal DIR` the rounds run through the streaming (single-auditor)
+/// topology with every committed transaction logged to `DIR/round-NNNN/`
+/// before it reaches the auditor.  Segments seal at window boundaries
+/// (flushing + fsyncing the `--sink` mirror first), each seal persists the
+/// auditor's frontier snapshot, and a finished round gets a `complete.json`
+/// marker.  With `--recover DIR` the endpoint first finishes auditing any
+/// rounds a previous process left behind.
+fn serve(args: &Args) -> Result<ExitCode, String> {
+    let (window, shards) = serve_shape(args);
+    let wal_dir = args.wal.as_deref().map(Path::new);
     let scenario = &args.scenarios[0];
     let backend = args.backends[0];
-    let emitter = match ServeEmitter::open(args.sink.as_deref()) {
-        Ok(emitter) => emitter,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let emitter = ServeEmitter::open(args.sink.as_deref())?;
     install_stop_handlers();
+    let mut wal_start = String::new();
+    if let Some(dir) = wal_dir {
+        let meta = workloads::WalMeta {
+            scenario: scenario.name().to_string(),
+            backend: backend.to_string(),
+            threads: args.threads,
+            txns_per_thread: args.txns,
+            vars: args.vars,
+            seed: args.seed,
+            window: window_config(window, args),
+        };
+        meta.store(dir).map_err(|err| format!("--wal {}: {err}", dir.display()))?;
+        wal_start = format!(",\"wal\":\"{}\"", json_escape(&dir.display().to_string()));
+    }
     emitter.emit(&format!(
         "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{backend}\",\
-         \"shards\":{shards},\"window\":{window},\"threads\":{},\"txns_per_round\":{},\
-         \"pid\":{}}}",
+         \"shards\":{shards},\"window\":{window},\"threads\":{},\"txns_per_round\":{}\
+         {wal_start},\"pid\":{}}}",
         scenario.name(),
         args.threads,
         args.threads * args.txns,
         std::process::id()
     ));
-    let mut rounds = 0u64;
     let mut violated = false;
+    if let (Some(dir), Some(_)) = (wal_dir, &args.recover) {
+        violated |= recover_rounds(args, dir, &emitter, &mut Vec::new())?;
+    }
+    let mut rounds = 0u64;
     // One post-mortem per serve lifetime: the bounded event ring is dumped on
     // the *first* conviction and never again (the flight recorder's contents
     // after that point describe post-violation traffic).
@@ -755,23 +833,26 @@ fn serve(args: &Args) -> ExitCode {
         if args.serve_rounds > 0 && rounds >= args.serve_rounds {
             break;
         }
+        // A WAL endpoint numbers and seeds its rounds by the durable round
+        // index, not the in-process counter, so a restarted endpoint
+        // continues the sequence where the killed one stopped.
+        let round = match wal_dir {
+            Some(dir) => workloads::next_round_index(dir)
+                .map_err(|err| format!("--wal {}: {err}", dir.display()))?,
+            None => rounds,
+        };
         let config = ScenarioConfig {
             backend,
             threads: args.threads,
             txns_per_thread: args.txns,
             vars: args.vars,
             // A fresh seed per round: sustained traffic, not one replayed run.
-            seed: args.seed.wrapping_add(rounds),
+            seed: args.seed.wrapping_add(round),
             policy: Arc::clone(&args.policy),
         };
-        let shard = ShardConfig {
-            adaptive: args.adaptive,
-            ..ShardConfig::new(shards, window_config(window, args))
-        };
         let (events_tx, events_rx) = std::sync::mpsc::channel::<ShardEvent>();
-        let round = rounds;
         let round_done = AtomicBool::new(false);
-        let report = std::thread::scope(|scope| {
+        let (round_violated, verdict) = std::thread::scope(|scope| {
             let emitter = &emitter;
             let post_mortem_done = &post_mortem_done;
             let printer = scope.spawn(move || {
@@ -799,48 +880,25 @@ fn serve(args: &Args) -> ExitCode {
                         std::thread::sleep(std::time::Duration::from_millis(25));
                         ticks += 1;
                         if ticks.is_multiple_of(20) {
-                            emitter.emit(&format!(
-                                "{{\"type\":\"metrics\",\"round\":{round},\"snapshot\":{}}}",
-                                tm_telemetry::global().snapshot().to_json()
-                            ));
+                            emitter.emit(&metrics_record(round));
                         }
                     }
                 })
             });
-            let report =
-                run_scenario_audited_sharded(scenario.as_ref(), &config, shard, Some(events_tx));
+            let verdict = serve_round(args, &config, round, emitter, events_tx);
             printer.join().expect("serve printer panicked");
             round_done.store(true, Ordering::SeqCst);
             if let Some(ticker) = ticker {
                 ticker.join().expect("serve metrics ticker panicked");
             }
-            report
-        });
-        let report = match report {
-            Ok(report) => report,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        };
-        violated |= report.run.check.invariant == Some(false)
-            || tm_audit::Level::ALL.iter().any(|&l| report.sharded.fails(l));
-        emitter.emit(&format!(
-            "{{\"type\":\"verdict\",\"round\":{round},\"summary\":\"{}\",\"commits\":{},\
-             \"throughput\":{:.0},\"drain_ms\":{:.3},\"report\":{}}}",
-            json_escape(&report.sharded.summary()),
-            report.run.commits,
-            report.run.throughput,
-            report.drain_elapsed.as_secs_f64() * 1e3,
-            report.sharded.to_json()
-        ));
+            verdict
+        })?;
+        violated |= round_violated;
+        emitter.emit(&verdict);
         if args.metrics {
             // Guaranteed snapshot per round, even when the round finishes
             // inside the ticker's first 500 ms.
-            emitter.emit(&format!(
-                "{{\"type\":\"metrics\",\"round\":{round},\"snapshot\":{}}}",
-                tm_telemetry::global().snapshot().to_json()
-            ));
+            emitter.emit(&metrics_record(round));
         }
         // Round boundary: the sink mirror is durable up to the last full round
         // even if the next one is cut short.
@@ -851,11 +909,65 @@ fn serve(args: &Args) -> ExitCode {
     emitter
         .emit(&format!("{{\"type\":\"serve-stop\",\"rounds\":{rounds},\"reason\":\"{reason}\"}}"));
     emitter.flush();
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(exit_status(args, violated))
+}
+
+/// Run one serve round and return whether it showed a definite violation,
+/// with its `verdict` record.  Without `--wal` the round streams into the
+/// sharded auditor, whose window/conviction/lag events feed `events`; with
+/// it, into the WAL tee in front of a windowed auditor.
+fn serve_round(
+    args: &Args,
+    config: &ScenarioConfig,
+    round: u64,
+    emitter: &ServeEmitter,
+    events: std::sync::mpsc::Sender<ShardEvent>,
+) -> Result<(bool, String), String> {
+    let scenario = args.scenarios[0].as_ref();
+    let (window, shards) = serve_shape(args);
+    let Some(wal_dir) = args.wal.as_deref().map(Path::new) else {
+        let shard = shard_config(window, shards, args);
+        let report = run_scenario_streamed(scenario, config, false, |vars| {
+            Ok(ShardedAuditor::live(vars, 0, shard, Some(events)))
+        })?;
+        return Ok(verdict_record(round, &report.run, report.drain_elapsed, &report.audit, ""));
+    };
+    let round_dir = wal_dir.join(workloads::round_dir_name(round));
+    let report = run_scenario_streamed(scenario, config, false, |vars| {
+        let auditor = WindowedAuditor::new(vars, 0, window_config(window, args));
+        WalTee::create(&round_dir, config.threads, vars, auditor, || emitter.sync())
+            .map_err(|e| format!("wal {}: {e}", round_dir.display()))
+    })?;
+    let (stream, wal) = &report.audit;
+    let wal = format!(
+        ",\"wal\":{{\"dir\":\"{}\",\"logged_txns\":{},\"sealed_segments\":{}}}",
+        json_escape(&round_dir.display().to_string()),
+        wal.logged_txns,
+        wal.sealed_segments
+    );
+    Ok(verdict_record(round, &report.run, report.drain_elapsed, stream, &wal))
+}
+
+/// A round's `verdict` record (with the optional `wal` field spliced in
+/// before the report), and whether the round showed a definite violation.
+fn verdict_record(
+    round: u64,
+    run: &ScenarioRunReport,
+    drain_elapsed: Duration,
+    report: &impl StreamVerdict,
+    wal: &str,
+) -> (bool, String) {
+    let violated = run.check.invariant == Some(false) || convicted(report.merged());
+    let record = format!(
+        "{{\"type\":\"verdict\",\"round\":{round},\"summary\":\"{}\",\"commits\":{},\
+         \"throughput\":{:.0},\"drain_ms\":{:.3}{wal},\"report\":{}}}",
+        json_escape(&report.merged().summary()),
+        run.commits,
+        run.throughput,
+        drain_elapsed.as_secs_f64() * 1e3,
+        report.json()
+    );
+    (violated, record)
 }
 
 /// Fold a [`workloads::RecoveredRoundReport`] into a serve record: the
@@ -871,7 +983,7 @@ fn recovered_record(report: &workloads::RecoveredRoundReport) -> String {
 /// wins, then the WAL directory's own `wal-meta.json` (the shape the round
 /// was actually produced with), then the serve default.  Rounds with a
 /// surviving snapshot ignore this — the snapshot's persisted config wins.
-fn recover_fallback_window(args: &Args, wal_dir: &std::path::Path) -> Result<WindowConfig, String> {
+fn recover_fallback_window(args: &Args, wal_dir: &Path) -> Result<WindowConfig, String> {
     if let AuditMode::Streaming { window } = args.mode {
         return Ok(window_config(window, args));
     }
@@ -888,7 +1000,7 @@ fn recover_fallback_window(args: &Args, wal_dir: &std::path::Path) -> Result<Win
 /// carries a definite violation.
 fn recover_rounds(
     args: &Args,
-    wal_dir: &std::path::Path,
+    wal_dir: &Path,
     emitter: &ServeEmitter,
     json_entries: &mut Vec<String>,
 ) -> Result<bool, String> {
@@ -898,7 +1010,7 @@ fn recover_rounds(
     let mut violated = false;
     for (_, dir) in rounds {
         let report = workloads::recover_round_report(&dir, fallback, args.sat)?;
-        violated |= tm_audit::Level::ALL.iter().any(|&l| report.stream.fails(l));
+        violated |= convicted(&report.stream.merged);
         emitter.emit(&recovered_record(&report));
         json_entries.push(report.to_json());
     }
@@ -906,273 +1018,96 @@ fn recover_rounds(
     Ok(violated)
 }
 
-/// `--recover DIR` without `--serve`: finish auditing every crashed round
-/// under DIR and report the recovered verdicts like a live run would —
-/// stdout records, `--json` document, `--fail-on-violation` semantics.
-fn recover_cli(args: &Args) -> ExitCode {
-    let wal_dir = std::path::Path::new(args.recover.as_deref().expect("recover dispatch"));
-    let emitter = match ServeEmitter::open(args.sink.as_deref()) {
-        Ok(emitter) => emitter,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut json_entries = Vec::new();
-    let violated = match recover_rounds(args, wal_dir, &emitter, &mut json_entries) {
-        Ok(violated) => violated,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    if json_entries.is_empty() {
-        println!("{}: no incomplete rounds; nothing to recover", wal_dir.display());
-    }
+/// Write the `--json` document, if one was asked for, and return the
+/// command's exit status.
+fn conclude(args: &Args, violated: bool, doc: impl FnOnce() -> String) -> ExitCode {
     if let Some(path) = &args.json {
-        let doc = format!("{{\"recovered\":[{}]}}", json_entries.join(","));
-        if let Err(err) = std::fs::write(path, doc) {
+        if let Err(err) = std::fs::write(path, doc()) {
             eprintln!("error: writing {path}: {err}");
             return ExitCode::from(3);
         }
         println!("machine-readable report written to {path}");
     }
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    exit_status(args, violated)
 }
 
-/// `--serve --wal DIR`: audited rounds back to back like [`serve`], but
-/// through the streaming (single-auditor) topology with every committed
-/// transaction logged to `DIR/round-NNNN/` before it reaches the auditor.
-/// Segments seal at window boundaries (flushing + fsyncing the `--sink`
-/// mirror first), each seal persists the auditor's frontier snapshot, and a
-/// finished round gets a `complete.json` marker.  With `--recover DIR` the
-/// endpoint first finishes auditing any rounds a previous process left
-/// behind, then resumes serving at the next free round index.
-fn serve_wal(args: &Args) -> ExitCode {
-    let window = match args.mode {
-        AuditMode::Streaming { window } => window,
-        _ => unreachable!("parse_args forces the streaming topology under --wal"),
-    };
-    let wal_dir = std::path::Path::new(args.wal.as_deref().expect("wal dispatch"));
-    let scenario = &args.scenarios[0];
-    let backend = args.backends[0];
-    let emitter = match ServeEmitter::open(args.sink.as_deref()) {
-        Ok(emitter) => emitter,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    install_stop_handlers();
-    let wc = window_config(window, args);
-    let meta = workloads::WalMeta {
-        scenario: scenario.name().to_string(),
-        backend: backend.to_string(),
-        threads: args.threads,
-        txns_per_thread: args.txns,
-        vars: args.vars,
-        seed: args.seed,
-        window: wc,
-    };
-    if let Err(err) = meta.store(wal_dir) {
-        eprintln!("error: --wal {}: {err}", wal_dir.display());
-        return ExitCode::from(2);
+/// `--recover DIR` without `--serve`: finish auditing every crashed round
+/// under DIR and report the recovered verdicts like a live run would —
+/// stdout records, `--json` document, `--fail-on-violation` semantics.
+fn recover_cli(args: &Args) -> Result<ExitCode, String> {
+    let wal_dir = Path::new(args.recover.as_deref().expect("recover dispatch"));
+    let emitter = ServeEmitter::open(args.sink.as_deref())?;
+    let mut json_entries = Vec::new();
+    let violated = recover_rounds(args, wal_dir, &emitter, &mut json_entries)?;
+    if json_entries.is_empty() {
+        println!("{}: no incomplete rounds; nothing to recover", wal_dir.display());
     }
-    emitter.emit(&format!(
-        "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{backend}\",\
-         \"shards\":1,\"window\":{window},\"threads\":{},\"txns_per_round\":{},\
-         \"wal\":\"{}\",\"pid\":{}}}",
-        scenario.name(),
-        args.threads,
-        args.threads * args.txns,
-        json_escape(&wal_dir.display().to_string()),
-        std::process::id()
-    ));
-    let mut violated = false;
-    if args.recover.is_some() {
-        let mut entries = Vec::new();
-        match recover_rounds(args, wal_dir, &emitter, &mut entries) {
-            Ok(v) => violated |= v,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let mut rounds = 0u64;
-    while !STOP.load(Ordering::SeqCst) {
-        if args.serve_rounds > 0 && rounds >= args.serve_rounds {
-            break;
-        }
-        let round_index = match workloads::next_round_index(wal_dir) {
-            Ok(index) => index,
-            Err(err) => {
-                eprintln!("error: --wal {}: {err}", wal_dir.display());
-                return ExitCode::from(2);
-            }
-        };
-        let round_dir = wal_dir.join(workloads::round_dir_name(round_index));
-        let config = ScenarioConfig {
-            backend,
-            threads: args.threads,
-            txns_per_thread: args.txns,
-            vars: args.vars,
-            // Seeded by the durable round index, not the in-process counter,
-            // so a restarted endpoint continues the seed sequence where the
-            // killed one stopped.
-            seed: args.seed.wrapping_add(round_index),
-            policy: Arc::clone(&args.policy),
-        };
-        let report = match workloads::run_scenario_audited_walled(
-            scenario.as_ref(),
-            &config,
-            wc,
-            &round_dir,
-            || emitter.sync(),
-        ) {
-            Ok(report) => report,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        };
-        violated |= report.run.check.invariant == Some(false)
-            || tm_audit::Level::ALL.iter().any(|&l| report.stream.fails(l));
-        emitter.emit(&format!(
-            "{{\"type\":\"verdict\",\"round\":{round_index},\"summary\":\"{}\",\"commits\":{},\
-             \"throughput\":{:.0},\"drain_ms\":{:.3},\"wal\":{{\"dir\":\"{}\",\
-             \"logged_txns\":{},\"sealed_segments\":{}}},\"report\":{}}}",
-            json_escape(&report.stream.summary()),
-            report.run.commits,
-            report.run.throughput,
-            report.drain_elapsed.as_secs_f64() * 1e3,
-            json_escape(&round_dir.display().to_string()),
-            report.wal.logged_txns,
-            report.wal.sealed_segments,
-            report.stream.to_json()
-        ));
-        if args.metrics {
-            emitter.emit(&format!(
-                "{{\"type\":\"metrics\",\"round\":{round_index},\"snapshot\":{}}}",
-                tm_telemetry::global().snapshot().to_json()
-            ));
-        }
-        emitter.flush();
-        rounds += 1;
-    }
-    let reason = if STOP.load(Ordering::SeqCst) { "signal" } else { "rounds-exhausted" };
-    emitter
-        .emit(&format!("{{\"type\":\"serve-stop\",\"rounds\":{rounds},\"reason\":\"{reason}\"}}"));
-    emitter.flush();
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(conclude(args, violated, || format!("{{\"recovered\":[{}]}}", json_entries.join(","))))
 }
 
 /// `--ingest FILE|-` (batch invocation): decode every wire document from the
 /// file (or stdin), audit each through the configured mode, and report like
 /// a live run — per-document verdicts on stdout, `"ingest"` entries in the
 /// `--json` document, `--fail-on-violation` semantics intact.
-fn ingest(args: &Args) -> ExitCode {
+fn ingest(args: &Args) -> Result<ExitCode, String> {
     let source = args.ingest.as_deref().expect("ingest dispatch");
     let text = if source == "-" {
         let mut text = String::new();
-        match std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut text) {
-            Ok(_) => text,
-            Err(e) => {
-                eprintln!("error: reading stdin: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut text)
+            .map_err(|e| format!("reading stdin: {e}"))?;
+        text
     } else {
-        match std::fs::read_to_string(source) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: {source}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?
     };
-    let histories = match decode_all(&text) {
-        Ok(histories) => histories,
-        Err(e) => {
-            eprintln!("error: {source}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let histories = decode_all(&text).map_err(|e| format!("{source}: {e}"))?;
     if histories.is_empty() {
-        eprintln!("error: {source}: no history documents");
-        return ExitCode::from(2);
+        return Err(format!("{source}: no history documents"));
     }
     let mut violated = false;
     let mut json_entries: Vec<String> = Vec::new();
     for (doc, history) in histories.iter().enumerate() {
         println!("history #{doc} from {source}: {}", history.shape());
-        let (mode_label, report_json) = match args.mode {
+        let (mode_label, report) = match args.mode {
             AuditMode::Off | AuditMode::Batch => {
                 let report = audit_with_options(history, &audit_options(args));
-                violated |= tm_audit::Level::ALL.iter().any(|&l| report.fails(l));
                 for level in &report.levels {
                     println!("  {level}");
                 }
                 println!("  verdict: {}\n", report.summary());
-                ("batch", report.to_json())
+                ("batch", report)
             }
             AuditMode::Streaming { window } => {
                 let report = audit_streamed(history, window_config(window, args));
-                violated |= tm_audit::Level::ALL.iter().any(|&l| report.fails(l));
                 println!(
                     "  verdict: {} ({} txns through {} windows)\n",
                     report.merged.summary(),
                     report.total_txns,
                     report.windows.len()
                 );
-                // The merged report is timing-free, so ingest replays of the
-                // same document produce byte-identical JSON.
-                ("streaming", report.merged.to_json())
+                ("streaming", report.merged)
             }
             AuditMode::Sharded { window, shards } => {
-                let shard = ShardConfig {
-                    adaptive: args.adaptive,
-                    ..ShardConfig::new(shards, window_config(window, args))
-                };
-                let report = audit_sharded(history, shard);
-                violated |= tm_audit::Level::ALL.iter().any(|&l| report.fails(l));
+                let report = audit_sharded(history, shard_config(window, shards, args));
                 println!(
                     "  verdict: {} ({} txns through {} partitions + escalation lane)\n",
                     report.merged.summary(),
                     report.total_txns,
                     shards
                 );
-                ("window-sharded", report.merged.to_json())
+                ("window-sharded", report.merged)
             }
         };
+        violated |= convicted(&report);
+        // The merged report is timing-free, so ingest replays of the same
+        // document produce byte-identical JSON.
         json_entries.push(format!(
             "{{\"source\":\"ingest\",\"doc\":{doc},\"mode\":\"{mode_label}\",\"shape\":\"{}\",\
              \"report\":{}}}",
             json_escape(&history.shape()),
-            report_json
+            report.to_json()
         ));
     }
-    if let Some(path) = &args.json {
-        let doc = format!("{{\"ingest\":[{}]}}", json_entries.join(","));
-        if let Err(err) = std::fs::write(path, doc) {
-            eprintln!("error: writing {path}: {err}");
-            return ExitCode::from(3);
-        }
-        println!("machine-readable report written to {path}");
-    }
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(conclude(args, violated, || format!("{{\"ingest\":[{}]}}", json_entries.join(","))))
 }
 
 /// `--serve --ingest FILE|-`: the ops endpoint fed by wire documents instead
@@ -1180,33 +1115,18 @@ fn ingest(args: &Args) -> ExitCode {
 /// a malformed document yields a positioned `ingest-error` record, then the
 /// decoder resyncs at the next document boundary (blank line) and keeps
 /// going — one bad batch does not take the endpoint down.
-fn serve_ingest(args: &Args) -> ExitCode {
+fn serve_ingest(args: &Args) -> Result<ExitCode, String> {
     let source = args.ingest.as_deref().expect("serve-ingest dispatch");
-    let emitter = match ServeEmitter::open(args.sink.as_deref()) {
-        Ok(emitter) => emitter,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let emitter = ServeEmitter::open(args.sink.as_deref())?;
     install_stop_handlers();
     let reader: Box<dyn BufRead> = if source == "-" {
         Box::new(std::io::BufReader::new(std::io::stdin()))
     } else {
-        match std::fs::File::open(source) {
-            Ok(file) => Box::new(std::io::BufReader::new(file)),
-            Err(e) => {
-                eprintln!("error: {source}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let file = std::fs::File::open(source).map_err(|e| format!("{source}: {e}"))?;
+        Box::new(std::io::BufReader::new(file))
     };
     let mut decoder = Decoder::new(reader);
-    let (window, shards) = match args.mode {
-        AuditMode::Sharded { window, shards } => (window, shards),
-        AuditMode::Streaming { window } => (window, 1),
-        _ => unreachable!("parse_args forces a streaming mode under --serve"),
-    };
+    let (window, shards) = serve_shape(args);
     emitter.emit(&format!(
         "{{\"type\":\"serve-start\",\"mode\":\"ingest\",\"source\":\"{}\",\"shards\":{shards},\
          \"window\":{window},\"pid\":{}}}",
@@ -1223,34 +1143,22 @@ fn serve_ingest(args: &Args) -> ExitCode {
         }
         match decoder.next_history() {
             Ok(Some(history)) => {
-                let (summary, report_json, fails) = match args.mode {
+                let (merged, report_json) = match args.mode {
                     AuditMode::Sharded { .. } => {
-                        let shard = ShardConfig {
-                            adaptive: args.adaptive,
-                            ..ShardConfig::new(shards, window_config(window, args))
-                        };
-                        let report = audit_sharded(&history, shard);
-                        (
-                            report.merged.summary(),
-                            report.to_json(),
-                            tm_audit::Level::ALL.iter().any(|&l| report.fails(l)),
-                        )
+                        let report = audit_sharded(&history, shard_config(window, shards, args));
+                        (report.merged.clone(), report.to_json())
                     }
                     _ => {
                         let report = audit_streamed(&history, window_config(window, args));
-                        (
-                            report.merged.summary(),
-                            report.to_json(),
-                            tm_audit::Level::ALL.iter().any(|&l| report.fails(l)),
-                        )
+                        (report.merged.clone(), report.to_json())
                     }
                 };
-                violated |= fails;
+                violated |= convicted(&merged);
                 emitter.emit(&format!(
                     "{{\"type\":\"ingest-verdict\",\"doc\":{docs},\"shape\":\"{}\",\
                      \"summary\":\"{}\",\"report\":{}}}",
                     json_escape(&history.shape()),
-                    json_escape(&summary),
+                    json_escape(&merged.summary()),
                     report_json
                 ));
                 docs += 1;
@@ -1289,11 +1197,182 @@ fn serve_ingest(args: &Args) -> ExitCode {
          \"reason\":\"{reason}\"}}"
     ));
     emitter.flush();
-    if args.fail_on_violation && (violated || errors > 0) {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
+    Ok(exit_status(args, violated || errors > 0))
+}
+
+/// One scenario × backend run in the configured audit mode: print its
+/// report and return its `--json` entry, whether it showed a definite
+/// violation, and the history `--export` asked to capture.
+fn run_cell(
+    args: &Args,
+    scenario: &dyn Scenario,
+    config: &ScenarioConfig,
+) -> Result<(String, bool, Option<AuditHistory>), String> {
+    let capture = args.export.is_some();
+    match args.mode {
+        AuditMode::Off => {
+            let (run, history) = if capture {
+                let (run, history) = run_scenario_captured(scenario, config)?;
+                (run, Some(history))
+            } else {
+                (run_scenario(scenario, config), None)
+            };
+            print_run_line(&run);
+            println!();
+            let entry = format!("{{{},\"mode\":\"off\"}}", json_run_fields(&run));
+            Ok((entry, run.check.invariant == Some(false), history))
+        }
+        AuditMode::Batch => {
+            let (run, history) = run_scenario_captured(scenario, config)?;
+            let start = Instant::now();
+            let audit = audit_with_options(&history, &audit_options(args));
+            let audit_elapsed = start.elapsed();
+            print_run_line(&run);
+            println!("  checked in {audit_elapsed:.3?}");
+            for level in &audit.levels {
+                println!("  {level}");
+            }
+            println!("  verdict: {}\n", audit.summary());
+            let entry = format!(
+                "{{{},\"mode\":\"batch\",\"audit_ms\":{:.3},\"report\":{}}}",
+                json_run_fields(&run),
+                audit_elapsed.as_secs_f64() * 1e3,
+                audit.to_json()
+            );
+            let violated = run.check.invariant == Some(false) || convicted(&audit);
+            Ok((entry, violated, capture.then_some(history)))
+        }
+        AuditMode::Streaming { window } => {
+            let wc = window_config(window, args);
+            let report = run_scenario_streamed(scenario, config, capture, |vars| {
+                Ok(WindowedAuditor::new(vars, 0, wc))
+            })?;
+            let detail = format!("{} windowed txns", report.audit.total_txns);
+            Ok(streamed_cell(report, "streaming", detail, String::new()))
+        }
+        AuditMode::Sharded { window, shards } => {
+            let shard = shard_config(window, shards, args);
+            let report = run_scenario_streamed(scenario, config, capture, |vars| {
+                Ok(ShardedAuditor::live(vars, 0, shard, None))
+            })?;
+            let moves = report.audit.band_moves;
+            let detail = format!(
+                "{} txns through {} partitions + escalation lane{}",
+                report.audit.total_txns,
+                report.audit.config.shards,
+                if args.adaptive {
+                    format!(", {moves} adaptive band moves")
+                } else {
+                    String::new()
+                }
+            );
+            Ok(streamed_cell(report, "window-sharded", detail, format!(",\"band_moves\":{moves}")))
+        }
     }
-    ExitCode::SUCCESS
+}
+
+/// Print a streamed run and build its `--json` entry (`extra` is spliced in
+/// after `drain_ms`).
+fn streamed_cell(
+    report: StreamedRunReport<impl StreamVerdict>,
+    mode: &str,
+    detail: String,
+    extra: String,
+) -> (String, bool, Option<AuditHistory>) {
+    let StreamedRunReport { run, drain_elapsed, audit, history } = report;
+    print_run_line(&run);
+    println!("  merged verdict {drain_elapsed:.3?} after run end ({detail})");
+    print!("  {audit}");
+    println!("  verdict: {}\n", audit.merged().summary());
+    let entry = format!(
+        "{{{},\"mode\":\"{mode}\",\"drain_ms\":{:.3}{extra},\"report\":{}}}",
+        json_run_fields(&run),
+        drain_elapsed.as_secs_f64() * 1e3,
+        audit.json()
+    );
+    (entry, run.check.invariant == Some(false) || convicted(audit.merged()), history)
+}
+
+/// Every scenario × backend in turn, then `--export`, the telemetry
+/// snapshot and the `--json` document.
+fn run_all(args: &Args) -> Result<ExitCode, String> {
+    let mut json_entries: Vec<String> = Vec::new();
+    let mut violated = false;
+    let mut exported: Option<AuditHistory> = None;
+    for scenario in &args.scenarios {
+        for &backend in &args.backends {
+            let config = ScenarioConfig {
+                backend,
+                threads: args.threads,
+                txns_per_thread: args.txns,
+                vars: args.vars,
+                seed: args.seed,
+                policy: Arc::clone(&args.policy),
+            };
+            println!(
+                "scenario {} on {backend}: {} threads × {} txns over {} vars \
+                 (seed {}, retry {})",
+                scenario.name(),
+                args.threads,
+                args.txns,
+                args.vars,
+                args.seed,
+                args.policy.name()
+            );
+            if (args.mode != AuditMode::Off || args.export.is_some()) && !scenario.recordable() {
+                if args.scenarios_are_all {
+                    println!(
+                        "  skipped: {} is not auditable (no unique-write contract)\n",
+                        scenario.name()
+                    );
+                    continue;
+                }
+                return Err(format!(
+                    "scenario {:?} is not auditable (its writes are not globally \
+                     unique); run it without --audit/--export",
+                    scenario.name()
+                ));
+            }
+            let (entry, cell_violated, history) = run_cell(args, scenario.as_ref(), &config)?;
+            json_entries.push(entry);
+            violated |= cell_violated;
+            exported = history;
+        }
+    }
+
+    if let Some(path) = &args.export {
+        // parse_args pinned us to one scenario × backend, and non-recordable
+        // single scenarios errored above, so the capture must be present.
+        let history = exported.expect("--export run captured a history");
+        let doc = encode(&history);
+        if let Err(err) = std::fs::write(path, &doc) {
+            eprintln!("error: writing {path}: {err}");
+            return Ok(ExitCode::from(3));
+        }
+        println!(
+            "history exported to {path} ({} txns, {} bytes, tm-history wire v{})",
+            history.txn_count(),
+            doc.len(),
+            tm_history::WIRE_VERSION
+        );
+    }
+    if args.metrics {
+        println!("telemetry snapshot:");
+        print!("{}", tm_telemetry::global().snapshot().to_text());
+        println!();
+    }
+    let doc = || {
+        if args.metrics {
+            format!(
+                "{{\"runs\":[{}],\"telemetry\":{}}}",
+                json_entries.join(","),
+                tm_telemetry::global().snapshot().to_json()
+            )
+        } else {
+            format!("{{\"runs\":[{}]}}", json_entries.join(","))
+        }
+    };
+    Ok(conclude(args, violated, doc))
 }
 
 fn main() -> ExitCode {
@@ -1327,245 +1406,19 @@ fn main() -> ExitCode {
             tm_telemetry::set_trace_enabled(true);
         }
     }
-    if args.recover.is_some() && !args.serve {
-        return recover_cli(&args);
-    }
-    if args.serve {
-        if args.ingest.is_some() {
-            return serve_ingest(&args);
-        }
-        if args.wal.is_some() {
-            return serve_wal(&args);
-        }
-        return serve(&args);
-    }
-    if args.ingest.is_some() {
-        return ingest(&args);
-    }
-
-    let mut json_entries: Vec<String> = Vec::new();
-    let mut violated = false;
-    let mut exported: Option<AuditHistory> = None;
-    for scenario in &args.scenarios {
-        for &backend in &args.backends {
-            let config = ScenarioConfig {
-                backend,
-                threads: args.threads,
-                txns_per_thread: args.txns,
-                vars: args.vars,
-                seed: args.seed,
-                policy: Arc::clone(&args.policy),
-            };
-            println!(
-                "scenario {} on {backend}: {} threads × {} txns over {} vars \
-                 (seed {}, retry {})",
-                scenario.name(),
-                args.threads,
-                args.txns,
-                args.vars,
-                args.seed,
-                args.policy.name()
-            );
-            if (args.mode != AuditMode::Off || args.export.is_some()) && !scenario.recordable() {
-                if args.scenarios_are_all {
-                    println!(
-                        "  skipped: {} is not auditable (no unique-write contract)\n",
-                        scenario.name()
-                    );
-                    continue;
-                }
-                eprintln!(
-                    "error: scenario {:?} is not auditable (its writes are not globally \
-                     unique); run it without --audit/--export",
-                    scenario.name()
-                );
-                return ExitCode::from(2);
-            }
-            match args.mode {
-                AuditMode::Off => {
-                    let run = if args.export.is_some() {
-                        match run_scenario_captured(scenario.as_ref(), &config) {
-                            Ok((run, history)) => {
-                                exported = Some(history);
-                                run
-                            }
-                            Err(msg) => {
-                                eprintln!("error: {msg}");
-                                return ExitCode::from(2);
-                            }
-                        }
-                    } else {
-                        run_scenario(scenario.as_ref(), &config)
-                    };
-                    print_run_line(&run);
-                    println!();
-                    violated |= run.check.invariant == Some(false);
-                    json_entries.push(format!("{{{},\"mode\":\"off\"}}", json_run_fields(&run)));
-                }
-                AuditMode::Batch => {
-                    let options = audit_options(&args);
-                    let result = if args.export.is_some() {
-                        run_scenario_audited_with_captured(scenario.as_ref(), &config, &options)
-                            .map(|(report, history)| {
-                                exported = Some(history);
-                                report
-                            })
-                    } else {
-                        run_scenario_audited_with(scenario.as_ref(), &config, &options)
-                    };
-                    let report = match result {
-                        Ok(report) => report,
-                        Err(msg) => {
-                            eprintln!("error: {msg}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    violated |= report.run.check.invariant == Some(false)
-                        || tm_audit::Level::ALL.iter().any(|&l| report.audit.fails(l));
-                    print_run_line(&report.run);
-                    println!("  checked in {:.3?}", report.audit_elapsed);
-                    for level in &report.audit.levels {
-                        println!("  {level}");
-                    }
-                    println!("  verdict: {}\n", report.audit.summary());
-                    json_entries.push(format!(
-                        "{{{},\"mode\":\"batch\",\"audit_ms\":{:.3},\"report\":{}}}",
-                        json_run_fields(&report.run),
-                        report.audit_elapsed.as_secs_f64() * 1e3,
-                        report.audit.to_json()
-                    ));
-                }
-                AuditMode::Sharded { window, shards } => {
-                    let shard = ShardConfig {
-                        adaptive: args.adaptive,
-                        ..ShardConfig::new(shards, window_config(window, &args))
-                    };
-                    let result = if args.export.is_some() {
-                        run_scenario_audited_sharded_captured(
-                            scenario.as_ref(),
-                            &config,
-                            shard,
-                            None,
-                        )
-                        .map(|(report, history)| {
-                            exported = Some(history);
-                            report
-                        })
-                    } else {
-                        run_scenario_audited_sharded(scenario.as_ref(), &config, shard, None)
-                    };
-                    let report = match result {
-                        Ok(report) => report,
-                        Err(msg) => {
-                            eprintln!("error: {msg}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    violated |= report.run.check.invariant == Some(false)
-                        || tm_audit::Level::ALL.iter().any(|&l| report.sharded.fails(l));
-                    print_run_line(&report.run);
-                    println!(
-                        "  merged verdict {:.3?} after run end ({} txns through {} partitions \
-                         + escalation lane{})",
-                        report.drain_elapsed,
-                        report.sharded.total_txns,
-                        report.shard.shards,
-                        if args.adaptive {
-                            format!(", {} adaptive band moves", report.band_moves)
-                        } else {
-                            String::new()
-                        }
-                    );
-                    print!("  {}", report.sharded);
-                    println!("  verdict: {}\n", report.sharded.summary());
-                    json_entries.push(format!(
-                        "{{{},\"mode\":\"window-sharded\",\"drain_ms\":{:.3},\"band_moves\":{},\
-                         \"report\":{}}}",
-                        json_run_fields(&report.run),
-                        report.drain_elapsed.as_secs_f64() * 1e3,
-                        report.band_moves,
-                        report.sharded.to_json()
-                    ));
-                }
-                AuditMode::Streaming { window } => {
-                    let wc = window_config(window, &args);
-                    let result = if args.export.is_some() {
-                        run_scenario_audited_streaming_captured(scenario.as_ref(), &config, wc).map(
-                            |(report, history)| {
-                                exported = Some(history);
-                                report
-                            },
-                        )
-                    } else {
-                        run_scenario_audited_streaming(scenario.as_ref(), &config, wc)
-                    };
-                    let report = match result {
-                        Ok(report) => report,
-                        Err(msg) => {
-                            eprintln!("error: {msg}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    violated |= report.run.check.invariant == Some(false)
-                        || tm_audit::Level::ALL.iter().any(|&l| report.stream.fails(l));
-                    print_run_line(&report.run);
-                    println!(
-                        "  merged verdict {:.3?} after run end ({} windowed txns)",
-                        report.drain_elapsed, report.stream.total_txns
-                    );
-                    print!("  {}", report.stream);
-                    println!("  verdict: {}\n", report.stream.summary());
-                    json_entries.push(format!(
-                        "{{{},\"mode\":\"streaming\",\"drain_ms\":{:.3},\"report\":{}}}",
-                        json_run_fields(&report.run),
-                        report.drain_elapsed.as_secs_f64() * 1e3,
-                        report.stream.to_json()
-                    ));
-                }
-            }
-        }
-    }
-
-    if let Some(path) = &args.export {
-        // parse_args pinned us to one scenario × backend, and non-recordable
-        // single scenarios errored above, so the capture must be present.
-        let history = exported.expect("--export run captured a history");
-        let doc = encode(&history);
-        if let Err(err) = std::fs::write(path, &doc) {
-            eprintln!("error: writing {path}: {err}");
-            return ExitCode::from(3);
-        }
-        println!(
-            "history exported to {path} ({} txns, {} bytes, tm-history wire v{})",
-            history.txn_count(),
-            doc.len(),
-            tm_history::WIRE_VERSION
-        );
-    }
-    if args.metrics {
-        println!("telemetry snapshot:");
-        print!("{}", tm_telemetry::global().snapshot().to_text());
-        println!();
-    }
-    if let Some(path) = &args.json {
-        let doc = if args.metrics {
-            format!(
-                "{{\"runs\":[{}],\"telemetry\":{}}}",
-                json_entries.join(","),
-                tm_telemetry::global().snapshot().to_json()
-            )
-        } else {
-            format!("{{\"runs\":[{}]}}", json_entries.join(","))
-        };
-        if let Err(err) = std::fs::write(path, doc) {
-            eprintln!("error: writing {path}: {err}");
-            return ExitCode::from(3);
-        }
-        println!("machine-readable report written to {path}");
-    }
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let result = if args.recover.is_some() && !args.serve {
+        recover_cli(&args)
+    } else if args.serve && args.ingest.is_some() {
+        serve_ingest(&args)
+    } else if args.serve {
+        serve(&args)
+    } else if args.ingest.is_some() {
+        ingest(&args)
+    } else {
+        run_all(&args)
+    };
+    result.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        ExitCode::from(2)
+    })
 }

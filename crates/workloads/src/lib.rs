@@ -18,15 +18,14 @@
 //!   backend registry is open.  [`register_workload_backends`] makes its name
 //!   resolvable; CLI/bench/example entry points call it at startup;
 //! * [`bank`] / [`zipf`] — the transfer workload and a Zipfian sampler;
-//! * [`runner`] — thread-pool runners for every mode: raw throughput
-//!   ([`runner::run_threads`]), scenario runs ([`runner::run_scenario`]), and the
-//!   audit modes that record every commit through `tm-audit` and prove which
-//!   consistency levels the run satisfied — whole-run batch
-//!   ([`runner::run_scenario_audited`]), bounded-memory streaming windows
-//!   concurrent with the workload ([`runner::run_scenario_audited_streaming`]),
-//!   or the multi-core sharded partition pipeline with live window/lag events
-//!   ([`runner::run_scenario_audited_sharded`], the engine behind the audit
-//!   CLI's `--audit=window:shards=K` and `--serve` modes).
+//! * [`runner`] — one scenario runner with three modes: unrecorded
+//!   ([`runner::run_scenario`]), recorded into a history for a batch audit
+//!   or an export ([`runner::run_scenario_captured`]), and streamed into any
+//!   [`runner::AuditSink`] while the workload runs
+//!   ([`runner::run_scenario_streamed`]): bounded-memory windows, the
+//!   multi-core sharded partition pipeline with live window/lag events (the
+//!   engine behind the audit CLI's `--audit=window:shards=K` and `--serve`
+//!   modes), or a crash-consistent WAL round ([`recovery::WalTee`]).
 //!   Reports carry the attempt histogram percentiles (p50/p99) so retry
 //!   policies are measurable.
 //!
@@ -51,14 +50,8 @@ pub use recovery::{
     round_dir_name, round_dirs, RecoveredRoundReport, WalMeta, WalRecovery, WalTee, WalTeeStats,
 };
 pub use runner::{
-    run_audited, run_audited_streaming, run_audited_with, run_scenario, run_scenario_audited,
-    run_scenario_audited_captured, run_scenario_audited_sharded,
-    run_scenario_audited_sharded_captured, run_scenario_audited_streaming,
-    run_scenario_audited_streaming_captured, run_scenario_audited_walled,
-    run_scenario_audited_with, run_scenario_audited_with_captured, run_scenario_captured,
-    run_threads, stalled_writer_experiment, AuditedRunReport, AuditedScenarioReport, RunConfig,
-    RunReport, ScenarioRunReport, ShardedScenarioReport, StreamingAuditedReport,
-    StreamingScenarioReport, WalScenarioReport,
+    run_scenario, run_scenario_captured, run_scenario_streamed, stalled_writer_experiment,
+    AuditSink, ScenarioRunReport, StreamedRunReport,
 };
 pub use scenario::{
     all_scenarios, scenario_by_name, Scenario, ScenarioCheck, ScenarioConfig, ScenarioState,

@@ -25,6 +25,7 @@
 //! suffix — producing the verdict the uninterrupted round would have
 //! reached over the same records.
 
+use crate::runner::AuditSink;
 use std::io;
 use std::path::{Path, PathBuf};
 use stm_runtime::wal::{recover_round, write_atomic, WalSink};
@@ -153,6 +154,16 @@ impl<F: FnMut()> TxnSink for WalTee<F> {
         self.log(session, &txn);
         self.auditor.push(session, txn);
         self.seal_if_window_closed();
+    }
+}
+
+impl<F: FnMut() + Send> AuditSink for WalTee<F> {
+    type Report = (StreamReport, WalTeeStats);
+
+    fn close(self) -> Result<Self::Report, String> {
+        let dir = self.dir().to_path_buf();
+        let (auditor, wal) = self.finish().map_err(|e| format!("wal {}: {e}", dir.display()))?;
+        Ok((auditor.finish(), wal))
     }
 }
 

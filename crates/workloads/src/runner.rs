@@ -1,10 +1,16 @@
-//! The multi-threaded workload runner, the stalled-writer liveness experiment,
-//! and the audited run modes: **batch** (record every commit, then prove which
-//! consistency levels the run satisfied) and **streaming** (audit rolling
-//! windows concurrently with the workload, with bounded memory and mid-run
-//! convictions).
+//! The scenario runner and the stalled-writer liveness experiment.
+//!
+//! A scenario runs in one of three ways:
+//!
+//! * [`run_scenario`] — unrecorded: throughput, attempt percentiles and the
+//!   scenario's own invariant check;
+//! * [`run_scenario_captured`] — every commit recorded into an
+//!   [`AuditHistory`], for a whole-history batch audit or an export;
+//! * [`run_scenario_streamed`] — every commit streamed, while the workload
+//!   runs, through a [`StreamMerger`] into any [`AuditSink`]: the windowed
+//!   auditor, the sharded pipeline, or the WAL tee in front of a windowed
+//!   auditor (bounded memory, mid-run convictions).
 
-use crate::bank::{Bank, BankConfig};
 use crate::scenario::{Scenario, ScenarioCheck, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,183 +18,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stm_runtime::{recorder, BackendId, Stm, StreamingRecorder};
-use tm_audit::HistoryRecorder;
 use tm_audit::{
-    audit_with_options, AuditHistory, AuditOptions, AuditReport, AuditRunConfig, HistoryCollector,
-    ShardConfig, ShardEvent, ShardedAuditor, ShardedStreamReport, StreamMerger, StreamReport,
-    TeeSink, WindowConfig, WindowedAuditor,
+    AuditHistory, HistoryCollector, HistoryRecorder, ShardedAuditor, ShardedStreamReport,
+    StreamMerger, StreamReport, TeeSink, TxnSink, WindowedAuditor,
 };
-
-/// Configuration of one runner invocation.
-#[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// Which backend to benchmark.
-    pub backend: BackendId,
-    /// Number of worker threads.
-    pub threads: usize,
-    /// Transactions executed by each thread.
-    pub tx_per_thread: usize,
-    /// The bank workload parameters.
-    pub bank: BankConfig,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            backend: stm_runtime::registry::OBSTRUCTION_FREE,
-            threads: 4,
-            tx_per_thread: 1_000,
-            bank: BankConfig::default(),
-        }
-    }
-}
-
-/// What one runner invocation measured.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// The configuration that produced the report.
-    pub config: RunConfig,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-    /// Committed transactions per second (workers only, excluding the final audit).
-    pub throughput: f64,
-    /// Total aborted attempts.
-    pub aborts: u64,
-    /// Median attempts one transaction needed to commit.
-    pub attempts_p50: u32,
-    /// 99th-percentile attempts per transaction.
-    pub attempts_p99: u32,
-    /// Whether the bank total matched the expected value at the end (consistency
-    /// smoke test: `false` is expected — and informative — on the PRAM backend).
-    pub balance_preserved: bool,
-}
-
-/// Run the bank workload with the given configuration and report throughput, aborts
-/// and the final invariant check.
-pub fn run_threads(config: RunConfig) -> RunReport {
-    let stm = Arc::new(Stm::new(config.backend));
-    let bank = Arc::new(Bank::new(&stm, config.bank));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for thread in 0..config.threads {
-            let stm = Arc::clone(&stm);
-            let bank = Arc::clone(&bank);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(42 + thread as u64);
-                for _ in 0..config.tx_per_thread {
-                    let (from, to) = bank.pick_accounts(thread, config.threads, &mut rng);
-                    bank.transfer(&stm, from, to, 5);
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    let committed = (config.threads * config.tx_per_thread) as f64;
-    let throughput = committed / elapsed.as_secs_f64().max(1e-9);
-    let aborts = stm.stats().aborts();
-    let attempts_p50 = stm.stats().attempts_p50();
-    let attempts_p99 = stm.stats().attempts_p99();
-    let balance_preserved = bank.total(&stm) == bank.expected_total();
-    RunReport { config, elapsed, throughput, aborts, attempts_p50, attempts_p99, balance_preserved }
-}
-
-/// What an audited run measured and proved.
-#[derive(Debug, Clone)]
-pub struct AuditedRunReport {
-    /// The recording configuration that produced the report.
-    pub config: AuditRunConfig,
-    /// Wall-clock duration of the recorded run (excluding checking).
-    pub run_elapsed: Duration,
-    /// Committed (= recorded) transactions per second during the run.
-    pub throughput: f64,
-    /// Wall-clock duration of the consistency checks.
-    pub audit_elapsed: Duration,
-    /// The per-level verdicts.
-    pub audit: AuditReport,
-}
-
-/// The runner's audit mode: run `tm-audit`'s recordable register workload on
-/// the chosen backend (the bank workload keeps its role as the throughput
-/// benchmark — write-read inference needs the register workload's unique
-/// write values), record every commit, then check the recorded history
-/// against the full RC / RA / Causal / SI / SER hierarchy.
-pub fn run_audited(config: AuditRunConfig, budget: u64) -> AuditedRunReport {
-    run_audited_with(config, &AuditOptions { budget, ..AuditOptions::default() })
-}
-
-/// [`run_audited`] with full [`AuditOptions`] — the entry point for the CLI's
-/// `--sat` escalation flag.
-pub fn run_audited_with(config: AuditRunConfig, options: &AuditOptions) -> AuditedRunReport {
-    let start = Instant::now();
-    let history = tm_audit::record_run(config);
-    let run_elapsed = start.elapsed();
-    let throughput = history.txn_count() as f64 / run_elapsed.as_secs_f64().max(1e-9);
-    let start = Instant::now();
-    let audit = audit_with_options(&history, options);
-    AuditedRunReport { config, run_elapsed, throughput, audit_elapsed: start.elapsed(), audit }
-}
-
-/// What a streaming audited run measured and proved.
-#[derive(Debug, Clone)]
-pub struct StreamingAuditedReport {
-    /// The recording configuration that produced the report.
-    pub config: AuditRunConfig,
-    /// The window shape the auditor used.
-    pub window: WindowConfig,
-    /// Wall-clock duration of the workload (recording included).
-    pub run_elapsed: Duration,
-    /// Committed (= recorded) transactions per second during the run.
-    pub throughput: f64,
-    /// Time from workload end to the final merged verdict — the audit tail
-    /// the streaming pipeline leaves behind.  The batch mode pays its
-    /// *entire* checking time here; streaming amortizes it into the run.
-    pub drain_elapsed: Duration,
-    /// The merged verdicts, per-window detail and pipeline statistics.
-    pub stream: StreamReport,
-}
-
-/// The runner's streaming audit mode: the same recordable register workload
-/// as [`run_audited`], but commits drain through a
-/// [`stm_runtime::StreamingRecorder`] to a [`WindowedAuditor`] on a consumer
-/// thread *while the workload runs*.  Verdict latency per window is in
-/// [`StreamReport::verdict_latency_mean`]; a backend that trades consistency
-/// away is convicted mid-run (see [`StreamReport::first_conviction`]).
-pub fn run_audited_streaming(
-    config: AuditRunConfig,
-    window: WindowConfig,
-) -> StreamingAuditedReport {
-    let recorder = Arc::new(StreamingRecorder::new(config.sessions, 256));
-    let consumer = recorder.consumer();
-    let vars = config.vars;
-    let start = Instant::now();
-    let (commits, run_elapsed, stream) = std::thread::scope(|scope| {
-        let sessions = config.sessions;
-        let auditor = scope.spawn(move || {
-            let mut auditor = WindowedAuditor::new(vars, 0, window);
-            // Shard batches arrive per-session-bursty; the merger restores
-            // global recording order so windows cut across sessions.
-            let mut merger = StreamMerger::new(sessions);
-            while let Some(batch) = consumer.recv() {
-                merger.push_batch(&batch, &mut auditor);
-            }
-            merger.finish(&mut auditor);
-            auditor.finish()
-        });
-        let commits = tm_audit::run_with_recorder(config, Arc::clone(&recorder) as _);
-        let run_elapsed = start.elapsed();
-        recorder.finish();
-        (commits, run_elapsed, auditor.join().expect("auditor thread panicked"))
-    });
-    let total = start.elapsed();
-    StreamingAuditedReport {
-        config,
-        window,
-        run_elapsed,
-        throughput: commits as f64 / run_elapsed.as_secs_f64().max(1e-9),
-        drain_elapsed: total.saturating_sub(run_elapsed),
-        stream,
-    }
-}
 
 /// What one scenario run measured, plus the scenario's own self-check.
 #[derive(Debug, Clone)]
@@ -225,30 +58,6 @@ pub struct ScenarioRunReport {
     pub abort_reasons: [(stm_runtime::AbortReason, u64); stm_runtime::AbortReason::ALL.len()],
     /// The scenario's post-run self-check.
     pub check: ScenarioCheck,
-}
-
-/// A scenario run with a whole-history batch audit attached.
-#[derive(Debug, Clone)]
-pub struct AuditedScenarioReport {
-    /// The workload-side measurements.
-    pub run: ScenarioRunReport,
-    /// Wall-clock duration of the consistency checks.
-    pub audit_elapsed: Duration,
-    /// The per-level verdicts.
-    pub audit: AuditReport,
-}
-
-/// A scenario run audited concurrently in rolling windows.
-#[derive(Debug, Clone)]
-pub struct StreamingScenarioReport {
-    /// The workload-side measurements.
-    pub run: ScenarioRunReport,
-    /// The window shape the auditor used.
-    pub window: WindowConfig,
-    /// Time from workload end to the final merged verdict.
-    pub drain_elapsed: Duration,
-    /// The merged verdicts, per-window detail and pipeline statistics.
-    pub stream: StreamReport,
 }
 
 /// Spawn the worker threads and drive `state` through the configured
@@ -331,9 +140,10 @@ fn require_recordable(scenario: &dyn Scenario) -> Result<(), String> {
 }
 
 /// Run a recordable scenario with every commit recorded and hand back the
-/// captured [`AuditHistory`] *without* auditing it — the capture path behind
-/// the audit CLI's `--export` in `--audit off` mode, and the base of the
-/// batch-audited runs.
+/// captured [`AuditHistory`] *without* auditing it.  A batch audit is this
+/// run plus [`tm_audit::audit_with_options`] on the history, which assumes
+/// the recording contract [`Scenario::recordable`] declares: unique write
+/// values and an all-zero initial state.
 pub fn run_scenario_captured(
     scenario: &dyn Scenario,
     config: &ScenarioConfig,
@@ -354,357 +164,98 @@ pub fn run_scenario_captured(
     Ok((run, history))
 }
 
-/// Run a recordable scenario with every commit recorded, then audit the
-/// whole history against the RC / RA / Causal / SI / SER hierarchy.
-///
-/// The auditor assumes the recording contract [`Scenario::recordable`]
-/// declares: unique write values and all-zero initial state.
-pub fn run_scenario_audited(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    budget: u64,
-) -> Result<AuditedScenarioReport, String> {
-    run_scenario_audited_captured(scenario, config, budget).map(|(report, _)| report)
+/// A streaming audit sink [`run_scenario_streamed`] can feed and close.
+pub trait AuditSink: TxnSink + Send {
+    /// What closing the sink yields.
+    type Report: Send;
+
+    /// Audit whatever the sink still holds and hand back its final report.
+    fn close(self) -> Result<Self::Report, String>;
 }
 
-/// [`run_scenario_audited`] with full [`AuditOptions`], so callers can enable
-/// the SAT escalation stage.
-pub fn run_scenario_audited_with(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    options: &AuditOptions,
-) -> Result<AuditedScenarioReport, String> {
-    run_scenario_audited_with_captured(scenario, config, options).map(|(report, _)| report)
+impl AuditSink for WindowedAuditor {
+    type Report = StreamReport;
+
+    fn close(self) -> Result<StreamReport, String> {
+        Ok(self.finish())
+    }
 }
 
-/// [`run_scenario_audited`], also returning the audited history — exactly
-/// what the auditor saw, so serializing it (`tm-history`) and re-auditing
-/// reproduces the verdicts.
-pub fn run_scenario_audited_captured(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    budget: u64,
-) -> Result<(AuditedScenarioReport, AuditHistory), String> {
-    run_scenario_audited_with_captured(
-        scenario,
-        config,
-        &AuditOptions { budget, ..AuditOptions::default() },
-    )
+impl AuditSink for ShardedAuditor {
+    type Report = ShardedStreamReport;
+
+    fn close(self) -> Result<ShardedStreamReport, String> {
+        Ok(self.finish())
+    }
 }
 
-/// [`run_scenario_audited_captured`] with full [`AuditOptions`].
-pub fn run_scenario_audited_with_captured(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    options: &AuditOptions,
-) -> Result<(AuditedScenarioReport, AuditHistory), String> {
-    let (run, history) = run_scenario_captured(scenario, config)?;
-    let start = Instant::now();
-    let audit = audit_with_options(&history, options);
-    Ok((AuditedScenarioReport { run, audit_elapsed: start.elapsed(), audit }, history))
-}
-
-/// Run a recordable scenario while a windowed auditor checks rolling
-/// windows concurrently with the workload (bounded memory, mid-run
-/// convictions).
-pub fn run_scenario_audited_streaming(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    window: WindowConfig,
-) -> Result<StreamingScenarioReport, String> {
-    run_scenario_streaming_inner(scenario, config, window, false).map(|(report, _)| report)
-}
-
-/// [`run_scenario_audited_streaming`], also returning the merged stream the
-/// auditor saw as an [`AuditHistory`].  The capture tees off *after* the
-/// [`StreamMerger`] (a [`TeeSink`] wrapping the auditor), so hints, order
-/// and attribution are exactly the auditor's view — recorder-level taps
-/// cannot give that, because parallel recorders number hints independently.
-pub fn run_scenario_audited_streaming_captured(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    window: WindowConfig,
-) -> Result<(StreamingScenarioReport, AuditHistory), String> {
-    run_scenario_streaming_inner(scenario, config, window, true)
-        .map(|(report, history)| (report, history.expect("capture was requested")))
-}
-
-fn run_scenario_streaming_inner(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    window: WindowConfig,
-    capture: bool,
-) -> Result<(StreamingScenarioReport, Option<AuditHistory>), String> {
-    require_recordable(scenario)?;
-    let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, 256));
-    let consumer = recorder_arc.consumer();
-    let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _)
-        .with_policy(Arc::clone(&config.policy));
-    let state = scenario.build(&stm, config);
-    let vars = state.words();
-    let start = Instant::now();
-    let (elapsed, (stream, history)) = std::thread::scope(|scope| {
-        let sessions = config.threads;
-        let auditor = scope.spawn(move || {
-            let mut auditor = WindowedAuditor::new(vars, 0, window);
-            let mut merger = StreamMerger::new(sessions);
-            let mut collector = capture.then(|| HistoryCollector::new(vars, 0, sessions));
-            match collector.as_mut() {
-                Some(collector) => {
-                    let mut tee = TeeSink::new(&mut auditor, collector);
-                    while let Some(batch) = consumer.recv() {
-                        merger.push_batch(&batch, &mut tee);
-                    }
-                    merger.finish(&mut tee);
-                }
-                None => {
-                    while let Some(batch) = consumer.recv() {
-                        merger.push_batch(&batch, &mut auditor);
-                    }
-                    merger.finish(&mut auditor);
-                }
-            }
-            (auditor.finish(), collector.map(HistoryCollector::into_history))
-        });
-        let elapsed = execute_scenario(&stm, state.as_ref(), config, true);
-        recorder_arc.finish();
-        (elapsed, auditor.join().expect("auditor thread panicked"))
-    });
-    let total = start.elapsed();
-    stm.take_recorder();
-    let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
-    Ok((
-        StreamingScenarioReport {
-            run,
-            window,
-            drain_elapsed: total.saturating_sub(elapsed),
-            stream,
-        },
-        history,
-    ))
-}
-
-/// A scenario run audited in streaming windows while every commit is logged
-/// to a crash-consistent WAL round directory.
+/// A scenario run audited by a streaming sink while it ran.
 #[derive(Debug, Clone)]
-pub struct WalScenarioReport {
+pub struct StreamedRunReport<R> {
     /// The workload-side measurements.
     pub run: ScenarioRunReport,
-    /// The window shape the auditor used.
-    pub window: WindowConfig,
-    /// Time from workload end to the final merged verdict.
+    /// Time from workload end to the sink's final report — the audit tail
+    /// the streaming pipeline leaves behind.
     pub drain_elapsed: Duration,
-    /// The merged verdicts, per-window detail and pipeline statistics.
-    pub stream: StreamReport,
-    /// What the WAL round logged (txns appended, segments sealed).
-    pub wal: crate::recovery::WalTeeStats,
+    /// The sink's final report.
+    pub audit: R,
+    /// The merged stream the sink saw, when capture was requested.
+    pub history: Option<AuditHistory>,
 }
 
-/// [`run_scenario_audited_streaming`] with a write-ahead log attached: the
-/// merged commit stream is appended to a [`stm_runtime::wal::WalSink`]
-/// round at `round_dir` *before* each record reaches the auditor, segments
-/// seal (and the auditor's frontier is snapshotted) at every window
-/// boundary, and the round ends with a `complete.json` marker.  A process
-/// killed mid-round leaves a directory
-/// [`crate::recovery::recover_round_report`] can finish auditing.
+/// Run a recordable scenario while its commits stream through a
+/// [`StreamMerger`] into the sink `sink` builds from the scenario's word
+/// count, on a consumer thread concurrent with the workload.
 ///
-/// `pre_seal` runs right before every segment seal — the hook the serve
-/// loop uses to flush its own buffered output first, so the seal never
-/// claims durability the host's records don't have.
-///
-/// The WAL orders the *merged* stream, so this runner is the streaming
-/// (single-auditor) topology; the sharded pipeline consumes per-partition
-/// projections that have no single total order to log.
-pub fn run_scenario_audited_walled(
+/// With `capture`, the merged stream is also collected into
+/// [`StreamedRunReport::history`].  The capture tees off *after* the
+/// merger, so hints, order and attribution are exactly the sink's view —
+/// recorder-level taps cannot give that, because parallel recorders number
+/// hints independently.
+pub fn run_scenario_streamed<S: AuditSink>(
     scenario: &dyn Scenario,
     config: &ScenarioConfig,
-    window: WindowConfig,
-    round_dir: &std::path::Path,
-    pre_seal: impl FnMut() + Send,
-) -> Result<WalScenarioReport, String> {
+    capture: bool,
+    sink: impl FnOnce(usize) -> Result<S, String>,
+) -> Result<StreamedRunReport<S::Report>, String> {
     require_recordable(scenario)?;
     let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, 256));
     let consumer = recorder_arc.consumer();
     let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _)
         .with_policy(Arc::clone(&config.policy));
     let state = scenario.build(&stm, config);
-    let vars = state.words();
+    let (vars, sessions) = (state.words(), config.threads);
+    let mut sink = sink(vars)?;
     let start = Instant::now();
     let (elapsed, tail) = std::thread::scope(|scope| {
-        let sessions = config.threads;
         let auditor = scope.spawn(move || {
-            let auditor = WindowedAuditor::new(vars, 0, window);
-            let mut tee =
-                crate::recovery::WalTee::create(round_dir, sessions, vars, auditor, pre_seal)
-                    .map_err(|e| format!("wal {}: {e}", round_dir.display()))?;
+            // Shard batches arrive per-session-bursty; the merger restores
+            // global recording order so windows cut across sessions.
             let mut merger = StreamMerger::new(sessions);
+            let mut collector = capture.then(|| HistoryCollector::new(vars, 0, sessions));
+            let mut tee;
+            let mut target: &mut dyn TxnSink = match collector.as_mut() {
+                Some(collector) => {
+                    tee = TeeSink::new(&mut sink, collector);
+                    &mut tee
+                }
+                None => &mut sink,
+            };
             while let Some(batch) = consumer.recv() {
-                merger.push_batch(&batch, &mut tee);
+                merger.push_batch(&batch, &mut target);
             }
-            merger.finish(&mut tee);
-            let (auditor, wal) =
-                tee.finish().map_err(|e| format!("wal {}: {e}", round_dir.display()))?;
-            Ok::<_, String>((auditor.finish(), wal))
+            merger.finish(&mut target);
+            Ok::<_, String>((sink.close()?, collector.map(HistoryCollector::into_history)))
         });
         let elapsed = execute_scenario(&stm, state.as_ref(), config, true);
         recorder_arc.finish();
         (elapsed, auditor.join().expect("auditor thread panicked"))
     });
-    let (stream, wal) = tail?;
     let total = start.elapsed();
+    let (audit, history) = tail?;
     stm.take_recorder();
     let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
-    Ok(WalScenarioReport { run, window, drain_elapsed: total.saturating_sub(elapsed), stream, wal })
-}
-
-/// A scenario run audited concurrently by the sharded partition pipeline
-/// (`K` per-variable-partition windowed auditors + the escalation lane).
-#[derive(Debug, Clone)]
-pub struct ShardedScenarioReport {
-    /// The workload-side measurements.
-    pub run: ScenarioRunReport,
-    /// The pipeline shape the sharded auditor used.
-    pub shard: ShardConfig,
-    /// Time from workload end to the final merged verdict.
-    pub drain_elapsed: Duration,
-    /// The stitched per-partition verdicts and pipeline statistics.
-    pub sharded: ShardedStreamReport,
-    /// Band moves the adaptive router applied during the run (always 0 when
-    /// [`ShardConfig::adaptive`] is off).
-    pub band_moves: u64,
-}
-
-/// Run a recordable scenario while a [`ShardedAuditor`] checks it on `K`
-/// partition threads concurrently with the workload.
-///
-/// When `events` is given, live [`ShardEvent`]s stream into it while the run
-/// is going: every closed window's verdict, first convictions, and a
-/// periodic per-partition lag sample (every ~200 ms) — the feed the audit
-/// CLI's `--serve` endpoint tails as JSON lines.
-///
-/// When [`ShardConfig::adaptive`] is set, the same ~200 ms sampler feeds
-/// each lag snapshot to the auditor's [`tm_audit::BandRouter`], which may
-/// move the most-backlogged partition's hottest band to the idlest
-/// partition — the control plane that keeps one zipfian hot band from
-/// throttling the whole pipeline through backpressure.
-pub fn run_scenario_audited_sharded(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    shard: ShardConfig,
-    events: Option<std::sync::mpsc::Sender<ShardEvent>>,
-) -> Result<ShardedScenarioReport, String> {
-    run_scenario_sharded_inner(scenario, config, shard, events, false).map(|(report, _)| report)
-}
-
-/// [`run_scenario_audited_sharded`], also returning the merged stream the
-/// router saw as an [`AuditHistory`] (teed off after the [`StreamMerger`],
-/// before band routing — the exact global order the pipeline audited).
-pub fn run_scenario_audited_sharded_captured(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    shard: ShardConfig,
-    events: Option<std::sync::mpsc::Sender<ShardEvent>>,
-) -> Result<(ShardedScenarioReport, AuditHistory), String> {
-    run_scenario_sharded_inner(scenario, config, shard, events, true)
-        .map(|(report, history)| (report, history.expect("capture was requested")))
-}
-
-fn run_scenario_sharded_inner(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    shard: ShardConfig,
-    events: Option<std::sync::mpsc::Sender<ShardEvent>>,
-    capture: bool,
-) -> Result<(ShardedScenarioReport, Option<AuditHistory>), String> {
-    require_recordable(scenario)?;
-    let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, 256));
-    let consumer = recorder_arc.consumer();
-    let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _)
-        .with_policy(Arc::clone(&config.policy));
-    let state = scenario.build(&stm, config);
-    let vars = state.words();
-    let auditor = match &events {
-        Some(tx) => ShardedAuditor::with_events(vars, 0, shard, tx.clone()),
-        None => ShardedAuditor::new(vars, 0, shard),
-    };
-    let shard = auditor.config();
-    let probe = auditor.lag_probe();
-    let band_router = shard.adaptive.then(|| auditor.router());
-    let done = Arc::new(AtomicBool::new(false));
-    let start = Instant::now();
-    let (elapsed, (sharded, history)) = std::thread::scope(|scope| {
-        let sessions = config.threads;
-        let router = scope.spawn(move || {
-            let mut auditor = auditor;
-            let mut merger = StreamMerger::new(sessions);
-            let mut collector = capture.then(|| HistoryCollector::new(vars, 0, sessions));
-            match collector.as_mut() {
-                Some(collector) => {
-                    let mut tee = TeeSink::new(&mut auditor, collector);
-                    while let Some(batch) = consumer.recv() {
-                        merger.push_batch(&batch, &mut tee);
-                    }
-                    merger.finish(&mut tee);
-                }
-                None => {
-                    while let Some(batch) = consumer.recv() {
-                        merger.push_batch(&batch, &mut auditor);
-                    }
-                    merger.finish(&mut auditor);
-                }
-            }
-            (auditor.finish(), collector.map(HistoryCollector::into_history))
-        });
-        // One sampler serves both consumers of the ~200 ms lag snapshot:
-        // the live event feed (when `events` is on) and the adaptive band
-        // router (when `shard.adaptive` is on).
-        let sampler = (events.is_some() || band_router.is_some()).then(|| {
-            let tx = events.clone();
-            let probe = probe.clone();
-            let done = Arc::clone(&done);
-            let band_router = band_router.clone();
-            scope.spawn(move || {
-                while !done.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(200));
-                    let lag = probe.sample();
-                    if let Some(router) = &band_router {
-                        router.rebalance(&lag);
-                    }
-                    if let Some(tx) = &tx {
-                        if tx.send(ShardEvent::Lag { partitions: lag }).is_err() {
-                            break;
-                        }
-                    }
-                }
-            })
-        });
-        let elapsed = execute_scenario(&stm, state.as_ref(), config, true);
-        recorder_arc.finish();
-        let routed = router.join().expect("sharded auditor router panicked");
-        done.store(true, Ordering::SeqCst);
-        if let Some(sampler) = sampler {
-            sampler.join().expect("lag sampler panicked");
-        }
-        // Always close with one drained lag sample, so short runs still get
-        // a lag record even when the periodic sampler never fired.
-        if let Some(tx) = &events {
-            let _ = tx.send(ShardEvent::Lag { partitions: probe.sample() });
-        }
-        (elapsed, routed)
-    });
-    let total = start.elapsed();
-    stm.take_recorder();
-    let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
-    Ok((
-        ShardedScenarioReport {
-            run,
-            shard,
-            drain_elapsed: total.saturating_sub(elapsed),
-            sharded,
-            band_moves: band_router.map_or(0, |r| r.moves()),
-        },
-        history,
-    ))
+    Ok(StreamedRunReport { run, drain_elapsed: total.saturating_sub(elapsed), audit, history })
 }
 
 /// The stalled-writer liveness experiment: one thread opens a transaction, writes the
@@ -766,41 +317,81 @@ pub fn stalled_writer_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::BankConfig;
+    use crate::scenarios::{BankScenario, KvZipfScenario, RegistersScenario};
     use stm_runtime::BackendKind;
+    use tm_audit::{
+        audit_with_budget, AuditRunConfig, Level, ShardConfig, ShardEvent, WindowConfig,
+    };
+
+    fn bank(
+        backend: BackendKind,
+        threads: usize,
+        txns: usize,
+        bank: BankConfig,
+    ) -> ScenarioRunReport {
+        let config = ScenarioConfig {
+            threads,
+            txns_per_thread: txns,
+            vars: bank.accounts,
+            ..ScenarioConfig::new(backend)
+        };
+        run_scenario(&BankScenario { template: bank }, &config)
+    }
+
+    fn registers(
+        backend: BackendKind,
+        threads: usize,
+        txns: usize,
+        vars: usize,
+        seed: u64,
+    ) -> ScenarioConfig {
+        ScenarioConfig {
+            threads,
+            txns_per_thread: txns,
+            vars,
+            seed,
+            ..ScenarioConfig::new(backend)
+        }
+    }
+
+    fn windowed(window: WindowConfig) -> impl FnOnce(usize) -> Result<WindowedAuditor, String> {
+        move |vars| Ok(WindowedAuditor::new(vars, 0, window))
+    }
 
     #[test]
     fn disjoint_partitions_preserve_balance_on_consistent_backends() {
         for backend in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree] {
-            let report = run_threads(RunConfig {
-                backend: backend.id(),
-                threads: 4,
-                tx_per_thread: 200,
-                bank: BankConfig { accounts: 32, cross_fraction: 0.0, ..Default::default() },
-            });
-            assert!(report.balance_preserved, "{backend:?}: {report:?}");
+            let report = bank(
+                backend,
+                4,
+                200,
+                BankConfig { accounts: 32, cross_fraction: 0.0, ..Default::default() },
+            );
+            assert_eq!(report.check.invariant, Some(true), "{backend:?}: {report:?}");
             assert!(report.throughput > 0.0);
         }
     }
 
     #[test]
     fn contended_transfers_still_preserve_balance_but_cause_aborts_or_waits() {
-        let report = run_threads(RunConfig {
-            backend: BackendKind::ObstructionFree.id(),
-            threads: 4,
-            tx_per_thread: 300,
-            bank: BankConfig { accounts: 4, cross_fraction: 1.0, ..Default::default() },
-        });
-        assert!(report.balance_preserved, "{report:?}");
+        let report = bank(
+            BackendKind::ObstructionFree,
+            4,
+            300,
+            BankConfig { accounts: 4, cross_fraction: 1.0, ..Default::default() },
+        );
+        assert_eq!(report.check.invariant, Some(true), "{report:?}");
     }
 
     #[test]
     fn pram_backend_visibly_breaks_the_global_invariant() {
-        let report = run_threads(RunConfig {
-            backend: BackendKind::PramLocal.id(),
-            threads: 4,
-            tx_per_thread: 100,
-            bank: BankConfig { accounts: 8, cross_fraction: 1.0, ..Default::default() },
-        });
+        let report = bank(
+            BackendKind::PramLocal,
+            4,
+            100,
+            BankConfig { accounts: 8, cross_fraction: 1.0, ..Default::default() },
+        );
         // Transfers only move money inside each thread's private replicas, so the
         // auditing thread still sees every account at its initial balance; the global
         // invariant holds *vacuously* for the auditor but cross-thread effects are
@@ -810,60 +401,69 @@ mod tests {
 
     #[test]
     fn audited_runs_report_throughput_and_verdicts() {
-        use tm_audit::Level;
-        let report = run_audited(
-            AuditRunConfig {
-                backend: BackendKind::ObstructionFree.id(),
-                sessions: 2,
-                txns_per_session: 100,
-                vars: 16,
-                seed: 11,
-            },
-            tm_audit::linearization::DEFAULT_STATE_BUDGET,
-        );
-        assert!(report.throughput > 0.0);
-        assert!(report.audit.passes(Level::Serializable), "{}", report.audit);
+        let config = registers(BackendKind::ObstructionFree, 2, 100, 16, 11);
+        let (run, history) = run_scenario_captured(&RegistersScenario, &config).unwrap();
+        let audit = audit_with_budget(&history, tm_audit::linearization::DEFAULT_STATE_BUDGET);
+        assert!(run.throughput > 0.0);
+        assert!(audit.passes(Level::Serializable), "{audit}");
+    }
+
+    #[test]
+    fn registers_scenario_runs_the_recorded_register_mix() {
+        // One session keeps the run deterministic: the scenario and
+        // `tm_audit::record_run` must then record the identical history.
+        let (vars, seed) = (8, 17);
+        let recorded = tm_audit::record_run(AuditRunConfig {
+            backend: BackendKind::Tl2Blocking.id(),
+            sessions: 1,
+            txns_per_session: 200,
+            vars,
+            seed,
+        });
+        let config = registers(BackendKind::Tl2Blocking, 1, 200, vars, seed);
+        let (_, captured) = run_scenario_captured(&RegistersScenario, &config).unwrap();
+        assert_eq!(captured, recorded);
     }
 
     #[test]
     fn streaming_audited_runs_agree_with_batch_on_a_consistent_backend() {
-        use tm_audit::Level;
-        let config = AuditRunConfig {
-            backend: BackendKind::ObstructionFree.id(),
-            sessions: 2,
-            txns_per_session: 300,
-            vars: 16,
-            seed: 11,
-        };
-        let report = run_audited_streaming(config, WindowConfig::sized(100));
-        assert!(report.throughput > 0.0);
-        assert_eq!(report.stream.total_txns, 600);
-        assert!(report.stream.windows.len() >= 5, "windows: {}", report.stream.windows.len());
+        let config = registers(BackendKind::ObstructionFree, 2, 300, 16, 11);
+        let report = run_scenario_streamed(
+            &RegistersScenario,
+            &config,
+            false,
+            windowed(WindowConfig::sized(100)),
+        )
+        .unwrap();
+        assert!(report.run.throughput > 0.0);
+        assert_eq!(report.audit.total_txns, 600);
+        assert!(report.audit.windows.len() >= 5, "windows: {}", report.audit.windows.len());
         for level in Level::ALL {
-            assert!(report.stream.passes(level), "{level}: {}", report.stream.merged);
+            assert!(report.audit.passes(level), "{level}: {}", report.audit.merged);
         }
-        assert!(report.stream.first_conviction.is_none());
+        assert!(report.audit.first_conviction.is_none());
+        assert!(report.history.is_none(), "no capture was requested");
     }
 
     #[test]
     fn streaming_audits_convict_pram_mid_run() {
-        let config = AuditRunConfig {
-            backend: BackendKind::PramLocal.id(),
-            sessions: 4,
-            txns_per_session: 500,
-            vars: 16,
-            seed: 5,
-        };
-        let report = run_audited_streaming(config, WindowConfig::sized(250));
-        let conviction = report.stream.first_conviction.as_ref().expect("pram must be convicted");
+        let config = registers(BackendKind::PramLocal, 4, 500, 16, 5);
+        let report = run_scenario_streamed(
+            &RegistersScenario,
+            &config,
+            false,
+            windowed(WindowConfig::sized(250)),
+        )
+        .unwrap();
+        let conviction = report.audit.first_conviction.as_ref().expect("pram must be convicted");
         assert!(
-            conviction.txns_seen < report.stream.total_txns,
+            conviction.txns_seen < report.audit.total_txns,
             "conviction after {} of {} txns must land mid-stream",
             conviction.txns_seen,
-            report.stream.total_txns
+            report.audit.total_txns
         );
-        assert!(report.stream.fails(tm_audit::Level::Serializable), "{}", report.stream.merged);
-        assert!(report.stream.passes(tm_audit::Level::Causal), "{}", report.stream.merged);
+        assert!(report.audit.fails(Level::Serializable), "{}", report.audit.merged);
+        assert!(report.audit.passes(Level::Causal), "{}", report.audit.merged);
     }
 
     #[test]
@@ -872,7 +472,7 @@ mod tests {
         // stm-runtime: running the bank scenario on it end-to-end proves the
         // registry is open.
         let glock = crate::glock::register();
-        let scenario = crate::scenarios::BankScenario::default();
+        let scenario = BankScenario::default();
         let config = ScenarioConfig {
             threads: 4,
             txns_per_thread: 150,
@@ -888,87 +488,107 @@ mod tests {
 
     #[test]
     fn audited_scenarios_produce_verdicts_batch_and_streaming() {
-        use tm_audit::Level;
-        let scenario = crate::scenarios::KvZipfScenario::default();
+        let scenario = KvZipfScenario::default();
         let config = ScenarioConfig {
             threads: 2,
             txns_per_thread: 150,
             vars: 16,
             ..ScenarioConfig::new(BackendKind::ObstructionFree)
         };
-        let report = run_scenario_audited(&scenario, &config, 2_000_000).unwrap();
-        assert_eq!(report.run.commits, 300);
-        assert!(report.audit.passes(Level::Serializable), "{}", report.audit);
-        assert_eq!(report.run.check.invariant, Some(true), "{}", report.run.check.detail);
+        let (run, history) = run_scenario_captured(&scenario, &config).unwrap();
+        let audit = audit_with_budget(&history, 2_000_000);
+        assert_eq!(run.commits, 300);
+        assert!(audit.passes(Level::Serializable), "{audit}");
+        assert_eq!(run.check.invariant, Some(true), "{}", run.check.detail);
 
         let streaming =
-            run_scenario_audited_streaming(&scenario, &config, WindowConfig::sized(100)).unwrap();
-        assert_eq!(streaming.stream.total_txns, 300);
-        assert!(streaming.stream.passes(Level::Serializable), "{}", streaming.stream.merged);
+            run_scenario_streamed(&scenario, &config, false, windowed(WindowConfig::sized(100)))
+                .unwrap();
+        assert_eq!(streaming.audit.total_txns, 300);
+        assert!(streaming.audit.passes(Level::Serializable), "{}", streaming.audit.merged);
     }
 
     #[test]
     fn sharded_audited_scenarios_agree_and_stream_events() {
-        use tm_audit::Level;
-        let scenario = crate::scenarios::RegistersScenario;
-        let config = ScenarioConfig {
-            threads: 2,
-            txns_per_thread: 200,
-            vars: 16,
-            ..ScenarioConfig::new(BackendKind::Tl2Blocking)
-        };
-        let shard = ShardConfig::new(4, tm_audit::WindowConfig::sized(64));
+        let config = registers(BackendKind::Tl2Blocking, 2, 200, 16, 2_024);
+        let shard = ShardConfig::new(4, WindowConfig::sized(64));
         let (tx, rx) = std::sync::mpsc::channel();
-        let report = run_scenario_audited_sharded(&scenario, &config, shard, Some(tx)).unwrap();
-        assert_eq!(report.sharded.total_txns, 400);
+        let report = run_scenario_streamed(&RegistersScenario, &config, false, |vars| {
+            Ok(ShardedAuditor::live(vars, 0, shard, Some(tx)))
+        })
+        .unwrap();
+        assert_eq!(report.audit.total_txns, 400);
         for level in Level::ALL {
-            assert!(report.sharded.passes(level), "{level}: {}", report.sharded.merged);
+            assert!(report.audit.passes(level), "{level}: {}", report.audit.merged);
         }
         let events: Vec<ShardEvent> = rx.try_iter().collect();
         let windows = events.iter().filter(|e| matches!(e, ShardEvent::Window { .. })).count();
         assert_eq!(
             windows,
-            report.sharded.partitions.iter().map(|p| p.stream.windows.len()).sum::<usize>()
+            report.audit.partitions.iter().map(|p| p.stream.windows.len()).sum::<usize>()
+        );
+        assert!(
+            matches!(events.last(), Some(ShardEvent::Lag { .. })),
+            "the event stream closes with a drained lag sample"
         );
 
         // The sharded pipeline convicts an inconsistent backend, mid-stream.
-        let pram = ScenarioConfig {
-            threads: 4,
-            txns_per_thread: 300,
-            vars: 8,
-            ..ScenarioConfig::new(BackendKind::PramLocal)
-        };
-        let report = run_scenario_audited_sharded(&scenario, &pram, shard, None).unwrap();
-        assert!(report.sharded.fails(Level::Serializable), "{}", report.sharded.merged);
-        assert!(report.sharded.first_conviction.is_some());
+        let pram = registers(BackendKind::PramLocal, 4, 300, 8, 2_024);
+        let report = run_scenario_streamed(&RegistersScenario, &pram, false, |vars| {
+            Ok(ShardedAuditor::live(vars, 0, shard, None))
+        })
+        .unwrap();
+        assert!(report.audit.fails(Level::Serializable), "{}", report.audit.merged);
+        assert!(report.audit.first_conviction.is_some());
     }
 
     #[test]
     fn audited_scenarios_convict_the_pram_backend() {
-        use tm_audit::Level;
-        let scenario = crate::scenarios::RegistersScenario;
-        let config = ScenarioConfig {
-            threads: 4,
-            txns_per_thread: 300,
-            vars: 8,
-            ..ScenarioConfig::new(BackendKind::PramLocal)
-        };
-        let report = run_scenario_audited(&scenario, &config, 2_000_000).unwrap();
-        assert!(report.audit.passes(Level::Causal), "{}", report.audit);
-        assert!(report.audit.fails(Level::Serializable), "{}", report.audit);
+        let config = registers(BackendKind::PramLocal, 4, 300, 8, 2_024);
+        let (_, history) = run_scenario_captured(&RegistersScenario, &config).unwrap();
+        let audit = audit_with_budget(&history, 2_000_000);
+        assert!(audit.passes(Level::Causal), "{audit}");
+        assert!(audit.fails(Level::Serializable), "{audit}");
     }
 
     #[test]
     fn unrecordable_scenarios_are_rejected_by_audited_runs() {
-        let scenario = crate::scenarios::BankScenario::default();
+        let scenario = BankScenario::default();
         let config = ScenarioConfig::new(BackendKind::ObstructionFree);
-        let err = run_scenario_audited(&scenario, &config, 1_000).unwrap_err();
-        assert!(err.contains("unique-write contract"), "{err}");
-        let err = run_scenario_audited_streaming(&scenario, &config, WindowConfig::sized(64))
-            .unwrap_err();
-        assert!(err.contains("unique-write contract"), "{err}");
+        let window = WindowConfig::sized(64);
+        let wal_dir =
+            std::env::temp_dir().join(format!("workloads-unrecordable-{}", std::process::id()));
+        let results = [
+            ("captured", run_scenario_captured(&scenario, &config).map(drop)),
+            (
+                "windowed",
+                run_scenario_streamed(&scenario, &config, false, windowed(window)).map(drop),
+            ),
+            (
+                "sharded",
+                run_scenario_streamed(&scenario, &config, true, |vars| {
+                    Ok(ShardedAuditor::live(vars, 0, ShardConfig::new(2, window), None))
+                })
+                .map(drop),
+            ),
+            (
+                "wal",
+                run_scenario_streamed(&scenario, &config, false, |vars| {
+                    let auditor = WindowedAuditor::new(vars, 0, window);
+                    let round = wal_dir.join(crate::recovery::round_dir_name(0));
+                    crate::recovery::WalTee::create(&round, config.threads, vars, auditor, || {})
+                        .map_err(|e| e.to_string())
+                })
+                .map(drop),
+            ),
+        ];
+        for (entry, result) in results {
+            let err = result.expect_err(entry);
+            assert!(err.contains("unique-write contract"), "{entry}: {err}");
+        }
+        let rounds = crate::recovery::round_dirs(&wal_dir).unwrap();
+        assert!(rounds.is_empty(), "a rejected run must log no round: {rounds:?}");
     }
-
     #[test]
     fn retry_policies_shape_the_attempt_histogram() {
         use stm_runtime::policy::ExponentialBackoff;

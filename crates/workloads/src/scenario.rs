@@ -4,7 +4,7 @@
 //! A [`Scenario`] describes one workload shape — what state it allocates in
 //! the STM and what one transaction does — independently of which backend
 //! runs it, how retries are paced, or whether the run is audited.  The
-//! runner ([`crate::runner::run_scenario`] and the audited variants) supplies
+//! runner ([`crate::runner::run_scenario`] and its recorded modes) supplies
 //! those axes, so every `scenario × backend × retry-policy × audit-mode`
 //! combination comes for free; the `audit` CLI exposes the whole product.
 //!

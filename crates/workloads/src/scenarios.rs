@@ -50,8 +50,10 @@ fn check_tokens(stm: &Stm, vars: &[TVar<i64>], threads: usize) -> ScenarioCheck 
 // registers — the audit workhorse mix
 // ---------------------------------------------------------------------------
 
-/// The register mix every audited run historically used: read-modify-writes,
-/// atomic pair writes and read-only observers over a shared pool.
+/// The `tm-audit` register mix ([`tm_audit::register_txn`]):
+/// read-modify-writes, atomic pair writes and read-only observers over a
+/// shared pool.  A run draws the same transactions from the same seed as
+/// [`tm_audit::record_run`].
 pub struct RegistersScenario;
 
 struct RegistersState {
@@ -80,35 +82,7 @@ impl Scenario for RegistersScenario {
 
 impl ScenarioState for RegistersState {
     fn run_txn(&self, stm: &Stm, thread: usize, seq: u64, rng: &mut StdRng) {
-        let a = self.vars[rng.gen_range(0..self.vars.len())];
-        let b = self.vars[rng.gen_range(0..self.vars.len())];
-        let shape = rng.gen_range(0..10u32);
-        let value = token(thread, seq * 2 + 1);
-        let second = token(thread, seq * 2 + 2);
-        // `run_policy` so a bounded/backoff policy can actually give up: a
-        // given-up transaction is simply dropped (and counted in the
-        // report's `gave_up`).
-        let _ = stm.run_policy(|tx| match shape {
-            // Read-only observer.
-            0..=1 => {
-                let _ = tx.read(a)?;
-                let _ = tx.read(b)?;
-                Ok(())
-            }
-            // Atomic pair write (after reading one of the pair).
-            2..=3 => {
-                let _ = tx.read(a)?;
-                tx.write(a, value)?;
-                tx.write(b, second)?;
-                Ok(())
-            }
-            // Read-modify-write.
-            _ => {
-                let _ = tx.read(a)?;
-                tx.write(a, value)?;
-                Ok(())
-            }
-        });
+        tm_audit::register_txn(stm, &self.vars, thread, seq, rng);
     }
 
     fn words(&self) -> usize {

@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 use stm_runtime::{policy, BackendId};
-use tm_audit::{audit_sharded, audit_streamed, audit_with_budget, ShardConfig, WindowConfig};
-use tm_history::{decode, encode};
-use workloads::{
-    run_scenario_audited_captured, run_scenario_audited_sharded_captured,
-    run_scenario_audited_streaming_captured, scenario_by_name, ScenarioConfig,
+use tm_audit::{
+    audit_sharded, audit_streamed, audit_with_budget, ShardConfig, ShardedAuditor, WindowConfig,
+    WindowedAuditor,
 };
+use tm_history::{decode, encode};
+use workloads::{run_scenario_captured, run_scenario_streamed, scenario_by_name, ScenarioConfig};
 
 const BUDGET: u64 = 2_000_000;
 const BACKENDS: [BackendId; 4] = [
@@ -51,39 +51,41 @@ fn exported_histories_replay_to_identical_verdicts() {
         let config = run_config(backend, 0x5EED ^ seed);
 
         // Batch topology.
-        let (live, history) =
-            run_scenario_audited_captured(scenario.as_ref(), &config, BUDGET).expect("audited run");
+        let (_, history) = run_scenario_captured(scenario.as_ref(), &config).expect("recorded run");
+        let live = audit_with_budget(&history, BUDGET);
         let decoded = decode(&encode(&history)).expect("export decodes");
         assert_eq!(decoded, history, "seed {seed} on {backend}: wire round trip");
         let replay = audit_with_budget(&decoded, BUDGET);
         assert_eq!(
             replay.to_json(),
-            live.audit.to_json(),
+            live.to_json(),
             "seed {seed} on {backend}: batch replay verdict diverged"
         );
 
         // Rolling-window topology.
-        let (live, history) =
-            run_scenario_audited_streaming_captured(scenario.as_ref(), &config, window())
-                .expect("streamed run");
-        let decoded = decode(&encode(&history)).expect("export decodes");
+        let live = run_scenario_streamed(scenario.as_ref(), &config, true, |vars| {
+            Ok(WindowedAuditor::new(vars, 0, window()))
+        })
+        .expect("streamed run");
+        let decoded = decode(&encode(live.history.as_ref().expect("captured"))).expect("decodes");
         let replay = audit_streamed(&decoded, window());
         assert_eq!(
             replay.merged.to_json(),
-            live.stream.merged.to_json(),
+            live.audit.merged.to_json(),
             "seed {seed} on {backend}: streaming replay verdict diverged"
         );
 
         // Sharded topology.
         let shard = ShardConfig::new(2, window());
-        let (live, history) =
-            run_scenario_audited_sharded_captured(scenario.as_ref(), &config, shard, None)
-                .expect("sharded run");
-        let decoded = decode(&encode(&history)).expect("export decodes");
+        let live = run_scenario_streamed(scenario.as_ref(), &config, true, |vars| {
+            Ok(ShardedAuditor::live(vars, 0, shard, None))
+        })
+        .expect("sharded run");
+        let decoded = decode(&encode(live.history.as_ref().expect("captured"))).expect("decodes");
         let replay = audit_sharded(&decoded, shard);
         assert_eq!(
             replay.merged.to_json(),
-            live.sharded.merged.to_json(),
+            live.audit.merged.to_json(),
             "seed {seed} on {backend}: sharded replay verdict diverged"
         );
     }
@@ -96,9 +98,9 @@ fn exported_histories_replay_to_identical_verdicts() {
 fn convicting_runs_replay_their_violations_verbatim() {
     let scenario = scenario_by_name("write-skew").expect("built-in scenario");
     let config = run_config(stm_runtime::registry::MVCC, 2024);
-    let (live, history) =
-        run_scenario_audited_captured(scenario.as_ref(), &config, BUDGET).expect("audited run");
+    let (_, history) = run_scenario_captured(scenario.as_ref(), &config).expect("recorded run");
+    let live = audit_with_budget(&history, BUDGET);
     let decoded = decode(&encode(&history)).expect("export decodes");
     let replay = audit_with_budget(&decoded, BUDGET);
-    assert_eq!(replay.to_json(), live.audit.to_json(), "conviction replay diverged");
+    assert_eq!(replay.to_json(), live.to_json(), "conviction replay diverged");
 }

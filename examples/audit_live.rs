@@ -17,9 +17,10 @@
 //!   two-transaction lost-update witness, exactly the sacrifice Section 5 of
 //!   the paper predicts.
 
+use std::time::Instant;
 use stm_runtime::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
-use tm_audit::{AuditRunConfig, Level};
-use workloads::run_audited;
+use tm_audit::{audit_with_budget, Level};
+use workloads::{run_scenario_captured, RegistersScenario, ScenarioConfig};
 
 fn main() {
     let backends = [TL2_BLOCKING, OBSTRUCTION_FREE, PRAM_LOCAL];
@@ -28,26 +29,36 @@ fn main() {
         // A generous budget: recording-order races can (rarely) defeat the
         // hint fast path, and the DFS then needs headroom on 10k txns.
         let budget = 10 * tm_audit::linearization::DEFAULT_STATE_BUDGET;
-        let report = run_audited(
-            AuditRunConfig { backend, sessions: 4, txns_per_session: 2_500, vars: 64, seed: 2024 },
-            budget,
-        );
+        let config = ScenarioConfig {
+            threads: 4,
+            txns_per_thread: 2_500,
+            vars: 64,
+            seed: 2024,
+            ..ScenarioConfig::new(backend)
+        };
+        let (run, history) =
+            run_scenario_captured(&RegistersScenario, &config).expect("registers is recordable");
+        let start = Instant::now();
+        let audit = audit_with_budget(&history, budget);
         println!("backend: {backend}");
         println!(
             "  recorded {} in {:.3?} ({:.0} commits/s), checked in {:.3?}",
-            report.audit.shape, report.run_elapsed, report.throughput, report.audit_elapsed,
+            audit.shape,
+            run.elapsed,
+            run.throughput,
+            start.elapsed(),
         );
-        for level in &report.audit.levels {
+        for level in &audit.levels {
             println!("  {level}");
         }
-        println!("  verdict: {}\n", report.audit.summary());
+        println!("  verdict: {}\n", audit.summary());
 
         // Keep the example honest: assert the P/C/L shape it demonstrates.
         match backend {
             id if id == PRAM_LOCAL => {
-                assert!(report.audit.passes(Level::Causal));
-                assert!(report.audit.fails(Level::SnapshotIsolation));
-                assert!(report.audit.fails(Level::Serializable));
+                assert!(audit.passes(Level::Causal));
+                assert!(audit.fails(Level::SnapshotIsolation));
+                assert!(audit.fails(Level::Serializable));
             }
             _ => {
                 for level in Level::ALL {
@@ -55,7 +66,7 @@ fn main() {
                     // failure; an exhausted search budget is only inconclusive
                     // (never observed at this size, but scheduling-dependent),
                     // so it must not turn the demo red.
-                    assert!(!report.audit.fails(level), "{backend}: {level} must not fail");
+                    assert!(!audit.fails(level), "{backend}: {level} must not fail");
                 }
             }
         }

@@ -19,9 +19,26 @@
 //! per window in milliseconds.
 
 use stm_runtime::registry::{PRAM_LOCAL, TL2_BLOCKING};
+use stm_runtime::BackendId;
 use tm_audit::digraph::Reach;
-use tm_audit::{AuditRunConfig, Level, WindowConfig};
-use workloads::run_audited_streaming;
+use tm_audit::{Level, StreamReport, WindowConfig, WindowedAuditor};
+use workloads::{run_scenario_streamed, RegistersScenario, ScenarioConfig, StreamedRunReport};
+
+/// 4 threads × 25,000 register transactions on `backend`, audited in
+/// rolling `window`s while they run.
+fn stream(backend: BackendId, window: WindowConfig) -> StreamedRunReport<StreamReport> {
+    let config = ScenarioConfig {
+        threads: 4,
+        txns_per_thread: 25_000,
+        vars: 64,
+        seed: 2_024,
+        ..ScenarioConfig::new(backend)
+    };
+    run_scenario_streamed(&RegistersScenario, &config, false, |vars| {
+        Ok(WindowedAuditor::new(vars, 0, window))
+    })
+    .expect("registers is recordable")
+}
 
 fn main() {
     let window = WindowConfig::sized(2_048);
@@ -31,69 +48,61 @@ fn main() {
     );
 
     // 1. The wait-free no-synchronization backend, convicted mid-run.
-    let config = AuditRunConfig {
-        backend: PRAM_LOCAL,
-        sessions: 4,
-        txns_per_session: 25_000,
-        vars: 64,
-        seed: 2_024,
-    };
-    let report = run_audited_streaming(config, window);
-    println!("backend: {} ({} txns)", config.backend, report.stream.total_txns);
+    let report = stream(PRAM_LOCAL, window);
+    println!("backend: {PRAM_LOCAL} ({} txns)", report.audit.total_txns);
     println!(
         "  workload: {:.3?} ({:.0} commits/s); merged verdict {:.3?} after run end",
-        report.run_elapsed, report.throughput, report.drain_elapsed
+        report.run.elapsed, report.run.throughput, report.drain_elapsed
     );
-    let conviction = report.stream.first_conviction.as_ref().expect("PramLocal must be convicted");
+    let conviction = report.audit.first_conviction.as_ref().expect("PramLocal must be convicted");
     println!(
         "  convicted mid-run: {} refuted in window {} after {} of {} txns",
         conviction.level.name(),
         conviction.window,
         conviction.txns_seen,
-        report.stream.total_txns
+        report.audit.total_txns
     );
     println!("    evidence: {}", conviction.violation);
-    println!("  verdict: {}\n", report.stream.summary());
+    println!("  verdict: {}\n", report.audit.summary());
     // On a many-core box this lands in the first few windows; even when CI
     // serializes the worker threads it must land strictly mid-stream.
     assert!(
-        conviction.txns_seen < report.stream.total_txns,
+        conviction.txns_seen < report.audit.total_txns,
         "conviction after {} txns must land mid-stream",
         conviction.txns_seen
     );
-    assert!(report.stream.fails(Level::SnapshotIsolation));
-    assert!(report.stream.fails(Level::Serializable));
-    assert!(report.stream.passes(Level::Causal), "never synchronizing is vacuously causal");
+    assert!(report.audit.fails(Level::SnapshotIsolation));
+    assert!(report.audit.fails(Level::Serializable));
+    assert!(report.audit.passes(Level::Causal), "never synchronizing is vacuously causal");
 
     // 2. The consistent blocking backend, attested window by window.
-    let config = AuditRunConfig { backend: TL2_BLOCKING, ..config };
-    let report = run_audited_streaming(config, window);
-    println!("backend: {} ({} txns)", config.backend, report.stream.total_txns);
+    let report = stream(TL2_BLOCKING, window);
+    println!("backend: {TL2_BLOCKING} ({} txns)", report.audit.total_txns);
     println!(
         "  workload: {:.3?} ({:.0} commits/s); merged verdict {:.3?} after run end",
-        report.run_elapsed, report.throughput, report.drain_elapsed
+        report.run.elapsed, report.run.throughput, report.drain_elapsed
     );
     println!(
         "  {} windows, verdict latency mean {:.3?} / max {:.3?}",
-        report.stream.windows.len(),
-        report.stream.verdict_latency_mean(),
-        report.stream.verdict_latency_max()
+        report.audit.windows.len(),
+        report.audit.verdict_latency_mean(),
+        report.audit.verdict_latency_max()
     );
-    let dense = Reach::dense_equivalent_bytes(report.stream.total_txns as usize);
+    let dense = Reach::dense_equivalent_bytes(report.audit.total_txns as usize);
     println!(
         "  peak closure memory: {} KiB (dense whole-run closure would be {} MiB)",
-        report.stream.peak_closure_bytes / 1024,
+        report.audit.peak_closure_bytes / 1024,
         dense / (1 << 20)
     );
-    println!("  verdict: {}\n", report.stream.summary());
+    println!("  verdict: {}\n", report.audit.summary());
     for level in Level::ALL {
-        assert!(!report.stream.fails(level), "{}: {level} must not fail", config.backend);
+        assert!(!report.audit.fails(level), "{TL2_BLOCKING}: {level} must not fail");
     }
-    assert!(report.stream.first_conviction.is_none());
+    assert!(report.audit.first_conviction.is_none());
     assert!(
-        report.stream.peak_closure_bytes < dense / 100,
+        report.audit.peak_closure_bytes < dense / 100,
         "windowed closure ({}) must be orders of magnitude under dense ({dense})",
-        report.stream.peak_closure_bytes
+        report.audit.peak_closure_bytes
     );
 
     println!("The PCL trade-off, observed live: the backend that gave up consistency");

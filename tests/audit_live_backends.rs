@@ -64,17 +64,20 @@ fn pram_local_histories_are_flagged_non_serializable() {
 /// mode of the workload runner).
 #[test]
 fn audited_runner_combines_throughput_and_verdicts() {
-    let report = workloads::run_audited(
-        AuditRunConfig {
-            backend: BackendKind::Tl2Blocking.id(),
-            sessions: 2,
-            txns_per_session: 250,
-            vars: 16,
-            seed: 99,
-        },
+    let config = workloads::ScenarioConfig {
+        threads: 2,
+        txns_per_thread: 250,
+        vars: 16,
+        seed: 99,
+        ..workloads::ScenarioConfig::new(BackendKind::Tl2Blocking)
+    };
+    let (run, history) =
+        workloads::run_scenario_captured(&workloads::RegistersScenario, &config).unwrap();
+    let audit = pcl_tm::audit::audit_with_budget(
+        &history,
         pcl_tm::audit::linearization::DEFAULT_STATE_BUDGET,
     );
-    assert!(report.throughput > 0.0);
-    assert!(report.audit.passes(Level::Serializable), "{}", report.audit);
-    assert_eq!(report.audit.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
+    assert!(run.throughput > 0.0);
+    assert!(audit.passes(Level::Serializable), "{audit}");
+    assert_eq!(audit.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
 }

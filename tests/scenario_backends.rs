@@ -4,15 +4,24 @@
 //! the registries (with helpful unknown-name errors); retry policies and the
 //! attempt histogram flow into the reports.
 
-use pcl_tm::audit::{Level, WindowConfig};
+use pcl_tm::audit::{audit_with_budget, Level, StreamReport, WindowConfig, WindowedAuditor};
 use pcl_tm::stm::{registry, BackendId};
 use workloads::{
-    run_scenario, run_scenario_audited, run_scenario_audited_streaming, scenario_by_name,
-    ScenarioConfig,
+    run_scenario, run_scenario_captured, run_scenario_streamed, scenario_by_name, Scenario,
+    ScenarioConfig, StreamedRunReport,
 };
 
 fn config(backend: impl Into<BackendId>, threads: usize, txns: usize) -> ScenarioConfig {
     ScenarioConfig { threads, txns_per_thread: txns, vars: 16, ..ScenarioConfig::new(backend) }
+}
+
+fn windowed(
+    scenario: &dyn Scenario,
+    config: &ScenarioConfig,
+    window: WindowConfig,
+) -> StreamedRunReport<StreamReport> {
+    run_scenario_streamed(scenario, config, false, |vars| Ok(WindowedAuditor::new(vars, 0, window)))
+        .unwrap()
 }
 
 #[test]
@@ -22,38 +31,33 @@ fn externally_registered_backend_is_audited_end_to_end() {
     let glock: BackendId = "global-lock".parse().expect("workloads registered it");
     // … and a non-bank scenario runs and is proven serializable on it.
     let scenario = scenario_by_name("kv-zipf").unwrap();
-    let report =
-        run_scenario_audited(scenario.as_ref(), &config(glock, 4, 200), 2_000_000).unwrap();
-    assert_eq!(report.run.scenario, "kv-zipf");
+    let (run, history) = run_scenario_captured(scenario.as_ref(), &config(glock, 4, 200)).unwrap();
+    let audit = audit_with_budget(&history, 2_000_000);
+    assert_eq!(run.scenario, "kv-zipf");
     for level in Level::ALL {
-        assert!(report.audit.passes(level), "{level}: {}", report.audit);
+        assert!(audit.passes(level), "{level}: {audit}");
     }
-    assert_eq!(report.run.check.invariant, Some(true), "{}", report.run.check.detail);
+    assert_eq!(run.check.invariant, Some(true), "{}", run.check.detail);
 }
 
 #[test]
 fn scan_writers_scenario_streams_to_a_verdict_on_every_builtin() {
     let scenario = scenario_by_name("scan-writers").unwrap();
     for backend in [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE] {
-        let report = run_scenario_audited_streaming(
-            scenario.as_ref(),
-            &config(backend, 3, 200),
-            WindowConfig::sized(100),
-        )
-        .unwrap();
-        assert_eq!(report.stream.total_txns, 600, "{backend}");
+        let report =
+            windowed(scenario.as_ref(), &config(backend, 3, 200), WindowConfig::sized(100));
+        assert_eq!(report.audit.total_txns, 600, "{backend}");
         for level in Level::ALL {
-            assert!(!report.stream.fails(level), "{backend}: {level}: {}", report.stream.merged);
+            assert!(!report.audit.fails(level), "{backend}: {level}: {}", report.audit.merged);
         }
     }
     // The consistency-sacrificing backend is convicted on the same scenario.
-    let report = run_scenario_audited_streaming(
+    let report = windowed(
         scenario.as_ref(),
         &config(registry::PRAM_LOCAL, 4, 400),
         WindowConfig::sized(150),
-    )
-    .unwrap();
-    assert!(report.stream.fails(Level::Serializable), "{}", report.stream.merged);
+    );
+    assert!(report.audit.fails(Level::Serializable), "{}", report.audit.merged);
 }
 
 #[test]
